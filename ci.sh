@@ -19,8 +19,8 @@ cargo xtask mc --smoke
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test"
-cargo test -q --release
+echo "==> cargo test --workspace"
+cargo test --workspace --release
 
 echo "==> cargo xtask bench --compare (perf-trajectory regression gate)"
 cargo xtask bench --compare BENCH_runner.json --max-regress 10

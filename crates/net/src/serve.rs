@@ -1,19 +1,23 @@
 //! The real-clock networked master: drives the shared
 //! `borg_protocol::MasterEngine` over live sockets.
 //!
-//! Mirrors the real-thread executor (`borg_parallel::threads`) with the
-//! channel pair replaced by framed socket connections: per-connection
-//! reader threads translate wire frames into notes, the master loop
-//! translates notes into protocol [`Event`]s, and the engine decides
-//! everything else (deadline reissue, duplicate suppression by eval id,
-//! worker retirement). Worker death is detected two ways — connection
-//! EOF (a `SIGKILL`ed process closes its socket) and wire-heartbeat
-//! staleness (a hung-but-connected peer) — and both feed the engine's
-//! existing recovery machinery via [`Event::WorkerDied`].
+//! One thread per worker connection reads frames with no lock held, then
+//! takes the `Master` lock and handles the frame itself: a result is
+//! consumed by the engine and the next `Work` frame is written before the
+//! lock is released. An evaluation therefore costs the same two thread
+//! wake-ups as in the real-thread executor (`borg_parallel::threads`), and
+//! since every socket write happens under the lock, frames never
+//! interleave. The serving thread only seeds the pool, sweeps expired
+//! deadlines and heartbeat staleness on a tick, and tears down. The engine
+//! decides everything else (deadline reissue, duplicate suppression by
+//! eval id, worker retirement). Worker death is detected two ways —
+//! connection EOF (a `SIGKILL`ed process closes its socket) and
+//! wire-heartbeat staleness (a hung-but-connected peer) — and both feed
+//! the engine's existing recovery machinery via [`Event::WorkerDied`].
 
 use crate::codec::{self, Msg, TraceCtx};
 use crate::metrics;
-use crate::transport::{Conn, NetAddr, NetError, NetListener, NetStream};
+use crate::transport::{Backoff, Conn, NetAddr, NetError, NetListener, NetStream};
 use borg_core::algorithm::{BorgConfig, BorgEngine, Candidate};
 use borg_core::problem::Problem;
 use borg_core::rng::SplitMix64;
@@ -21,9 +25,9 @@ use borg_desim::fault::{FaultKind, FaultLog};
 use borg_obs::{Recorder, TraceEdge, TraceEdgeKind};
 use borg_protocol::{Clock, Event, MasterEngine, RecoveryPolicy, Transport};
 use crossbeam::channel;
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Reissue cap before an evaluation is abandoned (matches the
@@ -54,7 +58,8 @@ pub struct ServeConfig {
     pub heartbeat_timeout: f64,
     /// How long to wait for the pool to register.
     pub register_timeout: Duration,
-    /// Per-connection read timeout (also the reader-thread stop tick).
+    /// Per-connection read timeout: how often an idle connection thread
+    /// checks whether the run is over.
     pub read_timeout: Duration,
 }
 
@@ -99,18 +104,6 @@ struct WireResult {
     objectives: Vec<f64>,
     constraints: Vec<f64>,
     ctx: Option<TraceCtx>,
-}
-
-/// What a reader thread tells the master loop.
-enum Note {
-    Result(WireResult),
-    Beat {
-        worker: usize,
-        ctx: Option<TraceCtx>,
-    },
-    Dead {
-        worker: usize,
-    },
 }
 
 /// The engine's executor half over live sockets.
@@ -187,7 +180,7 @@ impl<R: Recorder + ?Sized> NetTransport<'_, R> {
                 .flight("net.work_sent", now, eval_id, target as u64, attempt.into());
             Some(target)
         } else {
-            // The reader thread on this connection will surface the
+            // The thread reading this connection will surface the
             // death; until then the deadline machinery covers us.
             self.writers[target] = None;
             None
@@ -306,6 +299,172 @@ impl<R: Recorder + ?Sized> Transport for NetTransport<'_, R> {
     }
 }
 
+/// The master's whole mutable state, shared by the connection threads
+/// and the serving thread behind one lock. Every socket write happens
+/// while it is held (the single-writer rule).
+struct Master<'a, R: Recorder + ?Sized> {
+    proto: MasterEngine,
+    transport: NetTransport<'a, R>,
+    alive: Vec<bool>,
+    last_seen: Vec<f64>,
+    heartbeats: u64,
+    /// The evaluation budget.
+    target: u64,
+    /// Set once the run has an outcome; no thread handles frames after.
+    over: bool,
+}
+
+impl<R: Recorder + ?Sized> Master<'_, R> {
+    fn handle(&mut self, event: Event) {
+        let rec = self.transport.rec;
+        self.proto.handle(event, &mut self.transport, rec);
+    }
+
+    fn on_result(&mut self, result: WireResult) {
+        let (worker, eval_id) = (result.worker, result.eval_id);
+        if !self.alive[worker] {
+            // A result from a worker already declared dead: stale by
+            // definition (its eval was reissued).
+            return;
+        }
+        let at = self.transport.now();
+        self.last_seen[worker] = at;
+        self.transport.pending = Some(result);
+        self.handle(Event::ResultArrived {
+            worker,
+            eval_id,
+            at,
+        });
+        self.transport.pending = None;
+    }
+
+    fn on_beat(&mut self, worker: usize, ctx: Option<TraceCtx>) {
+        self.heartbeats += 1;
+        self.last_seen[worker] = self.transport.now();
+        // A heartbeat carrying a context is a clock probe: echo it back
+        // with the probe's send time preserved in `parent_span` (bit
+        // pattern) plus our own clock, so the worker can compute RTT and
+        // clock offset.
+        let Some(probe) = ctx else { return };
+        let echo = codec::encode(&Msg::Heartbeat {
+            worker: worker as u64,
+            ctx: Some(TraceCtx {
+                trace_id: probe.trace_id,
+                parent_span: probe.sent_at.to_bits(),
+                sent_at: self.transport.now(),
+            }),
+        });
+        let rec = self.transport.rec;
+        if let Some(stream) = self.transport.writers[worker].as_mut() {
+            if stream.write_all(&echo).is_ok() {
+                rec.counter(metrics::TRACE_PROBE_ECHOES, 1);
+                rec.counter(metrics::FRAMES_SENT, 1);
+                rec.counter(metrics::BYTES_SENT, echo.len() as u64);
+            } else {
+                self.transport.writers[worker] = None;
+            }
+        }
+    }
+
+    /// Fires expired reissue deadlines and declares heartbeat-stale
+    /// workers hung (`heartbeat_timeout` = `INFINITY` never fires).
+    fn sweep(&mut self, heartbeat_timeout: f64) {
+        let now = self.transport.now();
+        for (eval_id, worker, deadline_bits) in self.proto.expired_deadlines(now) {
+            self.handle(Event::DeadlineFired {
+                eval_id,
+                worker,
+                deadline_bits,
+                at: now,
+            });
+            if self.transport.latched.is_some() {
+                return;
+            }
+        }
+        for worker in 0..self.alive.len() {
+            if self.alive[worker] && now - self.last_seen[worker] > heartbeat_timeout {
+                self.declare_dead(worker, FaultKind::Hang);
+                if self.transport.latched.is_some() {
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Records a physically observed death in the ledger and lets the
+    /// engine's recovery machinery (retire + immediate reissue of the
+    /// lost evaluation) act on it. A worker dies at most once.
+    fn declare_dead(&mut self, worker: usize, kind: FaultKind) {
+        if !self.alive[worker] {
+            return;
+        }
+        self.alive[worker] = false;
+        let at = self.transport.now();
+        let lost_eval = self.transport.current_eval[worker];
+        self.proto
+            .log_mut()
+            .inject(kind, worker, lost_eval.unwrap_or(0), at);
+        self.transport.writers[worker] = None;
+        let rec = self.transport.rec;
+        rec.counter(metrics::WORKER_DEATHS, 1);
+        rec.flight(
+            "net.worker_death",
+            at,
+            worker as u64,
+            lost_eval.unwrap_or(u64::MAX),
+            match kind {
+                FaultKind::Hang => 1.0,
+                _ => 0.0,
+            },
+        );
+        self.handle(Event::WorkerDied {
+            worker,
+            at,
+            will_respawn: false,
+            lost_eval,
+        });
+    }
+
+    fn all_lost(&self) -> NetError {
+        NetError::AllWorkersLost {
+            completed: self.transport.engine.nfe(),
+            target: self.target,
+        }
+    }
+
+    /// The run's outcome once it has one — the first latched transport
+    /// error, the budget done (elapsed seconds), or every worker lost —
+    /// reported exactly once.
+    fn verdict(&mut self) -> Option<Result<f64, NetError>> {
+        if self.over {
+            return None;
+        }
+        let verdict = if let Some(err) = self.transport.latched.take() {
+            Err(err)
+        } else if self.proto.finished() {
+            Ok(self.transport.now())
+        } else if !self.alive.contains(&true) {
+            Err(self.all_lost())
+        } else {
+            return None;
+        };
+        self.over = true;
+        Some(verdict)
+    }
+
+    /// Tells live workers the run is over, then severs their connections
+    /// so blocked connection threads return at once and the scope join
+    /// cannot hang.
+    fn teardown(&mut self) {
+        self.over = true;
+        let frame = codec::encode(&Msg::Shutdown);
+        for writer in self.transport.writers.iter_mut().flatten() {
+            let _ = writer.write_all(&frame);
+            writer.shutdown();
+        }
+    }
+}
+
 /// Waits for `Hello` on a fresh connection (bounded by read timeouts).
 fn await_hello(conn: &mut Conn, deadline: Instant) -> Result<u64, NetError> {
     loop {
@@ -327,14 +486,21 @@ fn await_hello(conn: &mut Conn, deadline: Instant) -> Result<u64, NetError> {
     }
 }
 
-/// Accepts and registers the full worker pool. `pub(crate)` so the
-/// chaos harness can register proxy-splice connections itself.
+/// Accepts and registers the full worker pool. An empty accept queue is
+/// polled again after a backoff that starts at 20 µs and doubles up to
+/// 2 ms. `pub(crate)` so the chaos harness can register proxy-splice
+/// connections itself.
 pub(crate) fn register_pool(
     listener: &NetListener,
     cfg: &ServeConfig,
 ) -> Result<Vec<Conn>, NetError> {
     listener.set_nonblocking(true)?;
     let deadline = Instant::now() + cfg.register_timeout;
+    let mut idle = Backoff::new(
+        Duration::from_micros(20),
+        Duration::from_millis(2),
+        u32::MAX,
+    );
     let mut conns: Vec<Conn> = Vec::with_capacity(cfg.workers);
     while conns.len() < cfg.workers {
         if Instant::now() > deadline {
@@ -346,9 +512,10 @@ pub(crate) fn register_pool(
             )));
         }
         let Some(stream) = listener.accept(cfg.read_timeout)? else {
-            std::thread::sleep(Duration::from_millis(2));
+            std::thread::sleep(idle.next_delay().unwrap_or(idle.cap));
             continue;
         };
+        idle.reset();
         let mut conn = Conn::new(stream);
         await_hello(&mut conn, deadline)?;
         let worker = conns.len() as u64;
@@ -362,43 +529,23 @@ pub(crate) fn register_pool(
     Ok(conns)
 }
 
-/// One connection's reader loop: frames in, notes out. Exits on EOF,
-/// decode error, or the stop flag.
-fn reader_loop<R: Recorder + ?Sized>(
+/// One connection's thread: reads a frame with no lock held, then handles
+/// it under the master lock and reports the run's outcome if the frame
+/// settled it. Exits on EOF, a decode error, or once the run is over.
+fn connection_loop<R: Recorder + ?Sized>(
     mut conn: Conn,
     worker: usize,
-    tx: &channel::Sender<Note>,
-    stop: &AtomicBool,
+    master: &Mutex<Master<'_, R>>,
+    done: &channel::Sender<Result<f64, NetError>>,
     rec: &R,
 ) {
     loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match conn.recv() {
-            Ok(Some(Msg::Outcome {
-                eval_id,
-                attempt,
-                objectives,
-                constraints,
-                ctx,
-                ..
-            })) => {
+        let msg = conn.recv();
+        match &msg {
+            Ok(Some(Msg::Outcome { ctx, .. })) => {
                 rec.counter(metrics::FRAMES_RECEIVED, 1);
                 if ctx.is_some() {
                     rec.counter(metrics::TRACE_CTX_RECEIVED, 1);
-                }
-                // Trust the connection index, not the frame's claim.
-                let note = Note::Result(WireResult {
-                    worker,
-                    eval_id,
-                    attempt,
-                    objectives,
-                    constraints,
-                    ctx,
-                });
-                if tx.send(note).is_err() {
-                    return;
                 }
             }
             Ok(Some(Msg::Heartbeat { ctx, .. })) => {
@@ -406,19 +553,43 @@ fn reader_loop<R: Recorder + ?Sized>(
                 if ctx.is_some() {
                     rec.counter(metrics::TRACE_CTX_RECEIVED, 1);
                 }
-                if tx.send(Note::Beat { worker, ctx }).is_err() {
-                    return;
-                }
             }
             Ok(Some(_)) => rec.counter(metrics::FRAMES_RECEIVED, 1),
-            Ok(None) => {} // read timeout: poll the stop flag again
-            Err(e) => {
-                if matches!(e, NetError::Decode(_)) {
-                    rec.counter(metrics::DECODE_ERRORS, 1);
-                }
-                let _ = tx.send(Note::Dead { worker });
-                return;
-            }
+            Err(NetError::Decode(_)) => rec.counter(metrics::DECODE_ERRORS, 1),
+            Ok(None) | Err(_) => {}
+        }
+        let mut m = master.lock();
+        if m.over {
+            return;
+        }
+        let closed = msg.is_err();
+        match msg {
+            Ok(Some(Msg::Outcome {
+                eval_id,
+                attempt,
+                objectives,
+                constraints,
+                ctx,
+                ..
+            })) => m.on_result(WireResult {
+                // Trust the connection index, not the frame's claim.
+                worker,
+                eval_id,
+                attempt,
+                objectives,
+                constraints,
+                ctx,
+            }),
+            Ok(Some(Msg::Heartbeat { ctx, .. })) => m.on_beat(worker, ctx),
+            Ok(_) => {}
+            Err(_) => m.declare_dead(worker, FaultKind::Crash),
+        }
+        if let Some(verdict) = m.verdict() {
+            let _ = done.send(verdict);
+            return;
+        }
+        if closed {
+            return;
         }
     }
 }
@@ -438,83 +609,85 @@ where
     assert!(cfg.max_nfe >= 1, "need at least one evaluation");
     let listener = NetListener::bind(&cfg.listen)?;
     let conns = register_pool(&listener, cfg)?;
-    serve_registered(problem, borg, cfg, conns, rec)
-}
-
-/// [`serve`] with an already-registered pool (the chaos harness
-/// registers through its proxy and hands the master-side connections
-/// over directly).
-pub(crate) fn serve_registered<P, R>(
-    problem: &P,
-    borg: BorgConfig,
-    cfg: &ServeConfig,
-    conns: Vec<Conn>,
-    rec: &R,
-) -> Result<ServeReport, NetError>
-where
-    P: Problem + ?Sized,
-    R: Recorder + Sync + ?Sized,
-{
     let workers = conns.len();
     let engine_seed = SplitMix64::new(cfg.seed).derive_seed("net-serve-engine");
     let mut writers = Vec::with_capacity(workers);
     for conn in &conns {
         writers.push(Some(conn.stream().try_clone()?));
     }
-    let mut transport = NetTransport {
-        start: Instant::now(),
-        engine: BorgEngine::new(problem, borg, engine_seed),
-        writers,
-        candidates: BTreeMap::new(),
-        dispatched_at: BTreeMap::new(),
-        current_eval: vec![None; workers],
-        dispatch_seq: vec![0; workers],
-        pending: None,
-        timeout: cfg.reissue_timeout,
-        latched: None,
-        wire_results: 0,
-        wire_duplicates: 0,
-        rec,
-    };
-    let mut proto = MasterEngine::new(borg_protocol::EngineConfig::shared_pool_async(
-        workers,
-        cfg.max_nfe,
-        RecoveryPolicy {
-            timeout: cfg.reissue_timeout.unwrap_or(f64::INFINITY),
-            heartbeat_interval: f64::INFINITY,
-            max_reissues: MAX_REISSUES,
+    let mut master = Master {
+        proto: MasterEngine::new(borg_protocol::EngineConfig::shared_pool_async(
+            workers,
+            cfg.max_nfe,
+            RecoveryPolicy {
+                timeout: cfg.reissue_timeout.unwrap_or(f64::INFINITY),
+                heartbeat_interval: f64::INFINITY,
+                max_reissues: MAX_REISSUES,
+            },
+        )),
+        transport: NetTransport {
+            start: Instant::now(),
+            engine: BorgEngine::new(problem, borg, engine_seed),
+            writers,
+            candidates: BTreeMap::new(),
+            dispatched_at: BTreeMap::new(),
+            current_eval: vec![None; workers],
+            dispatch_seq: vec![0; workers],
+            pending: None,
+            timeout: cfg.reissue_timeout,
+            latched: None,
+            wire_results: 0,
+            wire_duplicates: 0,
+            rec,
         },
-    ));
-    let (tx, rx) = channel::unbounded::<Note>();
-    let stop = AtomicBool::new(false);
+        alive: vec![true; workers],
+        last_seen: vec![0.0; workers],
+        heartbeats: 0,
+        target: cfg.max_nfe,
+        over: false,
+    };
+    master.proto.seed(&mut master.transport, rec);
+    let seeded = master.verdict();
+    let master = Mutex::new(master);
     let tick = cfg.reissue_timeout.map_or(Duration::from_millis(50), |t| {
         Duration::from_secs_f64((t / 4.0).clamp(0.001, 0.1))
     });
+    let (done_tx, done_rx) = channel::unbounded();
 
-    let run = std::thread::scope(|scope| -> Result<(f64, u64), NetError> {
-        for (worker, conn) in conns.into_iter().enumerate() {
-            let tx = tx.clone();
-            let stop = &stop;
-            scope.spawn(move || reader_loop(conn, worker, &tx, stop, rec));
-        }
-        drop(tx);
-
-        let result = drive_master(&mut proto, &mut transport, &rx, cfg, workers, tick, rec);
-
-        // Orderly teardown regardless of outcome: tell live workers the
-        // run is over, then sever every connection so blocked reader
-        // threads return immediately and the scope join cannot hang.
-        let shutdown_frame = codec::encode(&Msg::Shutdown);
-        for writer in transport.writers.iter_mut().flatten() {
-            let _ = writer.write_all(&shutdown_frame);
-        }
-        stop.store(true, Ordering::SeqCst);
-        for writer in transport.writers.iter().flatten() {
-            writer.shutdown();
-        }
-        result
+    let outcome = std::thread::scope(|scope| {
+        let outcome = seeded.unwrap_or_else(|| {
+            for (worker, conn) in conns.into_iter().enumerate() {
+                let (master, done) = (&master, done_tx.clone());
+                scope.spawn(move || connection_loop(conn, worker, master, &done, rec));
+            }
+            drop(done_tx);
+            loop {
+                match done_rx.recv_timeout(tick) {
+                    Ok(verdict) => break verdict,
+                    Err(channel::RecvTimeoutError::Timeout) => {
+                        let mut m = master.lock();
+                        m.sweep(cfg.heartbeat_timeout);
+                        if let Some(verdict) = m.verdict() {
+                            break verdict;
+                        }
+                    }
+                    // Every connection thread has exited.
+                    Err(channel::RecvTimeoutError::Disconnected) => {
+                        break Err(master.lock().all_lost())
+                    }
+                }
+            }
+        });
+        master.lock().teardown();
+        outcome
     });
-    let (elapsed, wire_heartbeats) = run?;
+    let Master {
+        proto,
+        transport,
+        heartbeats,
+        ..
+    } = master.into_inner();
+    let elapsed = outcome?;
 
     let mut fault_log = proto.into_log();
     fault_log.finalize(elapsed);
@@ -530,179 +703,6 @@ where
         fault_log,
         wire_results: transport.wire_results,
         wire_duplicates: transport.wire_duplicates,
-        wire_heartbeats,
+        wire_heartbeats: heartbeats,
     })
-}
-
-/// The note→event pump. Split out so teardown runs on every exit path.
-#[allow(clippy::too_many_arguments)]
-fn drive_master<R: Recorder + Sync + ?Sized>(
-    proto: &mut MasterEngine,
-    transport: &mut NetTransport<'_, R>,
-    rx: &channel::Receiver<Note>,
-    cfg: &ServeConfig,
-    workers: usize,
-    tick: Duration,
-    rec: &R,
-) -> Result<(f64, u64), NetError> {
-    let mut alive = vec![true; workers];
-    let mut last_seen = vec![transport.now(); workers];
-    let mut wire_heartbeats = 0u64;
-
-    proto.seed(transport, rec);
-    if let Some(err) = transport.latched.take() {
-        return Err(err);
-    }
-
-    while !proto.finished() {
-        if alive.iter().all(|a| !*a) {
-            return Err(NetError::AllWorkersLost {
-                completed: transport.engine.nfe(),
-                target: cfg.max_nfe,
-            });
-        }
-        let note = match rx.recv_timeout(tick) {
-            Ok(note) => note,
-            Err(channel::RecvTimeoutError::Timeout) => {
-                let now = transport.now();
-                for (eval_id, worker, deadline_bits) in proto.expired_deadlines(now) {
-                    proto.handle(
-                        Event::DeadlineFired {
-                            eval_id,
-                            worker,
-                            deadline_bits,
-                            at: now,
-                        },
-                        transport,
-                        rec,
-                    );
-                    if let Some(err) = transport.latched.take() {
-                        return Err(err);
-                    }
-                }
-                if cfg.heartbeat_timeout.is_finite() {
-                    for worker in 0..workers {
-                        if alive[worker] && now - last_seen[worker] > cfg.heartbeat_timeout {
-                            alive[worker] = false;
-                            declare_dead(proto, transport, worker, FaultKind::Hang, rec);
-                            if let Some(err) = transport.latched.take() {
-                                return Err(err);
-                            }
-                        }
-                    }
-                }
-                continue;
-            }
-            Err(channel::RecvTimeoutError::Disconnected) => {
-                return Err(NetError::AllWorkersLost {
-                    completed: transport.engine.nfe(),
-                    target: cfg.max_nfe,
-                });
-            }
-        };
-        match note {
-            Note::Result(result) => {
-                let (worker, eval_id) = (result.worker, result.eval_id);
-                if !alive[worker] {
-                    // A result from a worker already declared dead:
-                    // stale by definition (its eval was reissued).
-                    continue;
-                }
-                let at = transport.now();
-                last_seen[worker] = at;
-                transport.pending = Some(result);
-                proto.handle(
-                    Event::ResultArrived {
-                        worker,
-                        eval_id,
-                        at,
-                    },
-                    transport,
-                    rec,
-                );
-                transport.pending = None;
-                if let Some(err) = transport.latched.take() {
-                    return Err(err);
-                }
-            }
-            Note::Beat { worker, ctx } => {
-                wire_heartbeats += 1;
-                last_seen[worker] = transport.now();
-                // A heartbeat carrying a context is a clock probe: echo
-                // it back with the probe's send time preserved in
-                // `parent_span` (bit pattern) plus our own clock, so the
-                // worker can compute RTT and clock offset. Written from
-                // this thread only — the single-writer discipline keeps
-                // frames from interleaving with dispatches.
-                if let Some(probe) = ctx {
-                    let echo = codec::encode(&Msg::Heartbeat {
-                        worker: worker as u64,
-                        ctx: Some(TraceCtx {
-                            trace_id: probe.trace_id,
-                            parent_span: probe.sent_at.to_bits(),
-                            sent_at: transport.now(),
-                        }),
-                    });
-                    if let Some(stream) = transport.writers[worker].as_mut() {
-                        if stream.write_all(&echo).is_ok() {
-                            rec.counter(metrics::TRACE_PROBE_ECHOES, 1);
-                            rec.counter(metrics::FRAMES_SENT, 1);
-                            rec.counter(metrics::BYTES_SENT, echo.len() as u64);
-                        } else {
-                            transport.writers[worker] = None;
-                        }
-                    }
-                }
-            }
-            Note::Dead { worker } => {
-                if alive[worker] {
-                    alive[worker] = false;
-                    declare_dead(proto, transport, worker, FaultKind::Crash, rec);
-                    if let Some(err) = transport.latched.take() {
-                        return Err(err);
-                    }
-                }
-            }
-        }
-    }
-    Ok((transport.now(), wire_heartbeats))
-}
-
-/// Records a physically observed death in the ledger and lets the
-/// engine's recovery machinery (retire + immediate reissue of the lost
-/// evaluation) act on it.
-fn declare_dead<R: Recorder + Sync + ?Sized>(
-    proto: &mut MasterEngine,
-    transport: &mut NetTransport<'_, R>,
-    worker: usize,
-    kind: FaultKind,
-    rec: &R,
-) {
-    let at = transport.now();
-    let lost_eval = transport.current_eval[worker];
-    proto
-        .log_mut()
-        .inject(kind, worker, lost_eval.unwrap_or(0), at);
-    transport.writers[worker] = None;
-    rec.counter(metrics::WORKER_DEATHS, 1);
-    rec.flight(
-        "net.worker_death",
-        at,
-        worker as u64,
-        lost_eval.unwrap_or(u64::MAX),
-        match kind {
-            FaultKind::Hang => 1.0,
-            _ => 0.0,
-        },
-    );
-    proto.handle(
-        Event::WorkerDied {
-            worker,
-            at,
-            will_respawn: false,
-            lost_eval,
-        },
-        transport,
-        rec,
-    );
 }

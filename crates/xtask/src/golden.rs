@@ -1,5 +1,5 @@
 //! Golden-cell regression gate: one Table II cell and one faults-sweep
-//! cell, pinned to checked-in CSVs under `results/golden/`.
+//! cell, pinned to the checked-in CSV under `crates/xtask/golden/`.
 //!
 //! The same-seed-twice arm in [`crate::determinism`] proves a build agrees
 //! with *itself*; this gate proves it agrees with the build that generated
@@ -25,7 +25,7 @@ use borg_parallel::virtual_exec::{
 use std::path::Path;
 
 /// Golden CSV location, relative to the workspace root.
-pub const GOLDEN_REL: &str = "results/golden/protocol_cells.csv";
+pub const GOLDEN_REL: &str = "crates/xtask/golden/protocol_cells.csv";
 
 /// Root seed shared with `Table2Config::default` / `FaultsConfig::default`,
 /// so these cells pin the same replicate streams the experiments consume.
@@ -143,6 +143,7 @@ pub fn compute() -> String {
 }
 
 /// Compares the current engine's cells against the checked-in golden CSV.
+/// A missing file is a failure: the gate never blesses itself.
 pub fn check(root: &Path) -> Result<GoldenReport, String> {
     let path = root.join(GOLDEN_REL);
     let golden = std::fs::read_to_string(&path).map_err(|e| {
@@ -211,6 +212,17 @@ mod tests {
             .parse()
             .expect("numeric injected column");
         assert!(injected > 0, "faults cell injected nothing: {faults_row}");
+    }
+
+    #[test]
+    fn missing_golden_fails_the_gate_without_blessing() {
+        let root = std::env::temp_dir().join(format!("borg-golden-missing-{}", std::process::id()));
+        let err = match check(&root) {
+            Ok(_) => panic!("a missing golden must fail the gate"),
+            Err(e) => e,
+        };
+        assert!(err.contains("unreadable"), "{err}");
+        assert!(!root.join(GOLDEN_REL).exists(), "the gate wrote a golden");
     }
 
     #[test]
