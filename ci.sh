@@ -22,6 +22,9 @@ cargo build --release
 echo "==> cargo test --workspace"
 cargo test --workspace --release
 
+echo "==> perfbench tests (bit-exact workload fingerprints in perfbench/golden.txt)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo xtask bench --compare (perf-trajectory regression gate)"
 cargo xtask bench --compare BENCH_runner.json --max-regress 10
 

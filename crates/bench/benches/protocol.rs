@@ -8,7 +8,7 @@
 //! and duplicate suppression cost when nothing goes wrong.
 
 use borg_desim::fault::{FaultConfig, FaultLog, FaultPlan};
-use borg_models::queueing::{run_async, run_async_faulty, FaultTolerantHooks, MasterSlaveHooks};
+use borg_models::queueing::{run_async, run_async_faulty, MasterSlaveHooks};
 use borg_obs::NoopRecorder;
 use borg_protocol::{Clock, EngineConfig, Event, MasterEngine, RecoveryPolicy, Transport};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -80,21 +80,6 @@ struct ConstHooks {
 }
 
 impl MasterSlaveHooks for ConstHooks {
-    fn produce(&mut self, _worker: usize, _now: f64) -> f64 {
-        self.ta
-    }
-    fn evaluation_time(&mut self, _worker: usize) -> f64 {
-        self.tf
-    }
-    fn consume(&mut self, _worker: usize, _now: f64) -> f64 {
-        self.ta
-    }
-    fn comm_time(&mut self) -> f64 {
-        self.tc
-    }
-}
-
-impl FaultTolerantHooks for ConstHooks {
     fn produce(&mut self, _worker: usize, _eval_id: u64, _now: f64) -> f64 {
         self.ta
     }

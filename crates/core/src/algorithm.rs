@@ -182,10 +182,13 @@ pub struct EngineStats {
 
 /// Cumulative wall-clock breakdown of the master's algorithm time `T_A`
 /// by component (seconds; populated only when [`BorgConfig::profile_ta`]
-/// is set). The dominant growth terms are `population` (the steady-state
-/// replacement scan is O(population size)) and `archive` (O(archive
-/// size) ε-box comparisons) — which is why the paper's measured `T_A`
-/// grows with processor count and problem difficulty.
+/// is set). The dominant growth term is `population` (the steady-state
+/// replacement scan is O(population size)); `archive` insertion resolves
+/// a candidate through the ε-grid index (O(log archive size) seeks plus
+/// the boxes its staircase walks visit, counted as `archive.box_probes`).
+/// Both grow with the archive and population a harder problem or a longer
+/// run reaches — which is why the paper's measured `T_A` grows with
+/// processor count and problem difficulty.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TaProfile {
     /// Tournament selection + parent gathering.

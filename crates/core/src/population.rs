@@ -206,27 +206,16 @@ impl Population {
         best
     }
 
-    /// Selects `n` distinct member indices uniformly at random (used to build
-    /// multiparent operator inputs around a tournament-selected pivot).
+    /// Selects `n` distinct member indices uniformly at random into `out`
+    /// (used to build multiparent operator inputs around a
+    /// tournament-selected pivot), reusing the buffer so the steady-state
+    /// loop allocates nothing per candidate.
     ///
     /// If fewer than `n` members exist, indices repeat (sampling with
     /// replacement) so multiparent operators still receive full arity.
-    pub fn sample_indices<R: Rng>(&self, n: usize, rng: &mut R) -> Vec<usize> {
-        assert!(!self.members.is_empty(), "cannot sample empty population");
-        if self.members.len() >= n {
-            rand::seq::index::sample(rng, self.members.len(), n).into_vec()
-        } else {
-            (0..n)
-                .map(|_| rng.gen_range(0..self.members.len()))
-                .collect()
-        }
-    }
-
-    /// As [`sample_indices`](Self::sample_indices), writing into a reused
-    /// buffer so the steady-state loop allocates nothing per candidate.
     ///
-    /// Draws the **same RNG stream** as the allocating form: it simulates
-    /// `rand::seq::index::sample`'s partial Fisher–Yates over a *virtual*
+    /// Draws the **same RNG stream** as `rand::seq::index::sample`: it
+    /// simulates that sampler's partial Fisher–Yates over a *virtual*
     /// `0..len` pool, tracking only the (≤ arity) slots a swap touched in a
     /// fixed stack array instead of materializing the whole pool.
     // borg-lint: hot-path
@@ -470,7 +459,8 @@ mod tests {
         for i in 0..10 {
             p.fill(sol(&[i as f64, -(i as f64)]));
         }
-        let idx = p.sample_indices(5, &mut rng);
+        let mut idx = Vec::new();
+        p.sample_indices_into(5, &mut rng, &mut idx);
         let mut dedup = idx.clone();
         dedup.sort_unstable();
         dedup.dedup();
@@ -483,41 +473,10 @@ mod tests {
         let mut p = Population::new(2);
         p.fill(sol(&[0.0, 1.0]));
         p.fill(sol(&[1.0, 0.0]));
-        let idx = p.sample_indices(6, &mut rng);
+        let mut idx = Vec::new();
+        p.sample_indices_into(6, &mut rng, &mut idx);
         assert_eq!(idx.len(), 6);
         assert!(idx.iter().all(|&i| i < 2));
-    }
-
-    #[test]
-    fn sample_indices_into_matches_allocating_form() {
-        // Same seed → the reused-buffer form must draw the same RNG stream
-        // and produce the same indices as `sample_indices` (this is what
-        // keeps the engine's candidate streams bit-identical).
-        for n in [1usize, 2, 5, 9, 10] {
-            let mut p = Population::new(10);
-            for i in 0..10 {
-                p.fill(sol(&[i as f64, -(i as f64)]));
-            }
-            let mut a = StdRng::seed_from_u64(42);
-            let mut b = StdRng::seed_from_u64(42);
-            let alloc = p.sample_indices(n, &mut a);
-            let mut reused = Vec::new();
-            p.sample_indices_into(n, &mut b, &mut reused);
-            assert_eq!(alloc, reused, "divergence at arity {n}");
-            // And the RNG cursors must agree afterwards.
-            use rand::Rng;
-            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
-        }
-        // Small-population with-replacement path.
-        let mut p = Population::new(2);
-        p.fill(sol(&[0.0, 1.0]));
-        p.fill(sol(&[1.0, 0.0]));
-        let mut a = StdRng::seed_from_u64(7);
-        let mut b = StdRng::seed_from_u64(7);
-        let alloc = p.sample_indices(6, &mut a);
-        let mut reused = Vec::new();
-        p.sample_indices_into(6, &mut b, &mut reused);
-        assert_eq!(alloc, reused);
     }
 
     #[test]

@@ -491,21 +491,34 @@ mod tests {
     fn uf11_ta_exceeds_dtlz2_ta() {
         // The paper's Table II shows UF11's T_A roughly double DTLZ2's
         // (rotation matrix multiply + harder archive). Our measured T_A
-        // should reproduce the ordering.
+        // should reproduce the ordering. T_A is wall-clock, and this test
+        // runs beside the crate's other tests: a few preempted interactions
+        // can move a mean by microseconds. So the cells' replicates run
+        // interleaved (slow drift in machine load hits both problems
+        // alike) and the test compares the median per-interaction sample.
         let cfg = Table2Config {
             evaluations: 4_000,
             replicates: 2,
-            processors: vec![16],
-            tf_means: vec![0.01],
-            problems: vec![PaperProblem::Dtlz2, PaperProblem::Uf11],
             ..Table2Config::default()
         };
-        let rows = run_table2(&cfg);
-        let dtlz2_ta = rows.iter().find(|r| r.problem == "DTLZ2").unwrap().t_a;
-        let uf11_ta = rows.iter().find(|r| r.problem == "UF11").unwrap().t_a;
+        let (tf, p) = (0.01, 16);
+        let replicate = |problem, r: usize| {
+            let seed = replicate_seeds(cfg.seed, problem, tf, p, cfg.replicates)[r];
+            run_replicate(&cfg, &CellSpec { problem, tf, p }, seed, false).ta_samples
+        };
+        let (mut dtlz2, mut uf11) = (Vec::new(), Vec::new());
+        for r in 0..cfg.replicates as usize {
+            dtlz2.extend(replicate(PaperProblem::Dtlz2, r));
+            uf11.extend(replicate(PaperProblem::Uf11, r));
+        }
+        let median = |mut ta: Vec<f64>| {
+            ta.sort_by(f64::total_cmp);
+            ta[ta.len() / 2]
+        };
+        let (dtlz2_ta, uf11_ta) = (median(dtlz2), median(uf11));
         assert!(
             uf11_ta > dtlz2_ta * 0.8,
-            "UF11 T_A ({uf11_ta}) unexpectedly far below DTLZ2's ({dtlz2_ta})"
+            "UF11 median T_A ({uf11_ta}) unexpectedly far below DTLZ2's ({dtlz2_ta})"
         );
     }
 }

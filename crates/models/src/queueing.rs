@@ -28,22 +28,35 @@ pub use borg_protocol::RecoveryPolicy;
 
 /// Problem-specific behaviour plugged into the queueing engine.
 ///
-/// The engine calls, per interaction: `consume(w)` (master absorbs `w`'s
-/// result), `produce(w)` (master creates `w`'s next work item),
-/// `evaluation_time(w)` (how long `w`'s new evaluation takes) and
+/// The engine calls, per interaction: `consume` (master absorbs a
+/// result), `produce` (master creates the next work item),
+/// `evaluation_time` (how long that item's evaluation takes) and
 /// `comm_time()` for each one-way message. Each returns the simulated
 /// duration of that step.
+///
+/// Work items are identified by a stable `eval_id`, so the fault-tolerant
+/// master can reissue a lost evaluation to a different worker and
+/// suppress duplicate results. Implementations must treat `reissue` as
+/// "resend the work item produced for `eval_id`" — the candidate must not
+/// change, only the bookkeeping cost may differ.
 pub trait MasterSlaveHooks {
-    /// Master-side time to produce the next work item for `worker`.
-    /// `now` is the simulated time at which production starts.
-    fn produce(&mut self, worker: usize, now: f64) -> f64;
+    /// Master-side time to produce the *fresh* work item `eval_id` for
+    /// `worker`, starting at simulated time `now`.
+    fn produce(&mut self, worker: usize, eval_id: u64, now: f64) -> f64;
 
-    /// Worker-side time to evaluate the most recently produced work item.
-    fn evaluation_time(&mut self, worker: usize) -> f64;
+    /// Master-side time to resend existing work item `eval_id` to
+    /// `worker`. Defaults to free: the candidate already exists, only the
+    /// message must be rebuilt (charged separately as `comm_time`).
+    fn reissue(&mut self, _worker: usize, _eval_id: u64, _now: f64) -> f64 {
+        0.0
+    }
 
-    /// Master-side time to process the result returned by `worker`.
-    /// `now` is the simulated time at which processing starts.
-    fn consume(&mut self, worker: usize, now: f64) -> f64;
+    /// Worker-side time to evaluate work item `eval_id` on `worker`.
+    fn evaluation_time(&mut self, worker: usize, eval_id: u64) -> f64;
+
+    /// Master-side time to process the result of `eval_id` returned by
+    /// `worker`, starting at `now`.
+    fn consume(&mut self, worker: usize, eval_id: u64, now: f64) -> f64;
 
     /// One-way master↔worker message time.
     fn comm_time(&mut self) -> f64;
@@ -114,7 +127,7 @@ impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Transport for AsyncTransport<'_,
         _log: &mut FaultLog,
     ) -> f64 {
         let start = self.master_free_at;
-        let ta = self.hooks.produce(worker, start);
+        let ta = self.hooks.produce(worker, eval_id, start);
         let tc = self.hooks.comm_time();
         let algo_start = self.pending_algo.take().unwrap_or(start);
         self.rec
@@ -128,7 +141,7 @@ impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Transport for AsyncTransport<'_,
         let start_eval = start + ta + tc;
         self.master_busy += ta + tc;
         self.master_free_at = start_eval;
-        let tf = self.hooks.evaluation_time(worker);
+        let tf = self.hooks.evaluation_time(worker, eval_id);
         self.rec.span(
             Actor::Worker(worker),
             Activity::Evaluation,
@@ -140,7 +153,7 @@ impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Transport for AsyncTransport<'_,
         f64::INFINITY
     }
 
-    fn consume(&mut self, worker: usize, _eval_id: u64, ready_at: f64) -> f64 {
+    fn consume(&mut self, worker: usize, eval_id: u64, ready_at: f64) -> f64 {
         let grant = self.master_free_at.max(ready_at);
         let wait = grant - ready_at;
         self.wait_sum += wait;
@@ -159,7 +172,7 @@ impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Transport for AsyncTransport<'_,
             .span(Actor::Worker(worker), Activity::Idle, ready_at, grant);
         self.rec
             .span(Actor::Master, Activity::Communication, grant, grant + tc_in);
-        let ta_c = self.hooks.consume(worker, grant + tc_in);
+        let ta_c = self.hooks.consume(worker, eval_id, grant + tc_in);
         self.completed += 1;
         self.pending_algo = Some(grant + tc_in);
         self.master_busy += tc_in + ta_c;
@@ -272,6 +285,8 @@ struct SyncTransport<'a, H: MasterSlaveHooks, R: Recorder + ?Sized> {
     now: f64,
     master_busy: f64,
     arrivals_in_gen: usize,
+    /// The evaluation id each slot returned this generation.
+    gen_eval_ids: Vec<u64>,
 }
 
 impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Clock for SyncTransport<'_, H, R> {
@@ -290,7 +305,7 @@ impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Transport for SyncTransport<'_, 
         _log: &mut FaultLog,
     ) -> f64 {
         if worker < self.workers {
-            let ta = self.hooks.produce(worker, self.now);
+            let ta = self.hooks.produce(worker, eval_id, self.now);
             let tc = self.hooks.comm_time();
             self.rec
                 .span(Actor::Master, Activity::Algorithm, self.now, self.now + ta);
@@ -302,7 +317,7 @@ impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Transport for SyncTransport<'_, 
             );
             self.master_busy += ta + tc;
             self.now += ta + tc;
-            let tf = self.hooks.evaluation_time(worker);
+            let tf = self.hooks.evaluation_time(worker, eval_id);
             self.rec.span(
                 Actor::Worker(worker),
                 Activity::Evaluation,
@@ -313,8 +328,8 @@ impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Transport for SyncTransport<'_, 
                 .schedule_at(self.now + tf, ResultReady { worker, eval_id });
         } else {
             // Master's own offspring (produced and evaluated locally).
-            let ta = self.hooks.produce(worker, self.now);
-            let tf = self.hooks.evaluation_time(worker);
+            let ta = self.hooks.produce(worker, eval_id, self.now);
+            let tf = self.hooks.evaluation_time(worker, eval_id);
             self.rec
                 .span(Actor::Master, Activity::Algorithm, self.now, self.now + ta);
             self.rec.span(
@@ -331,7 +346,8 @@ impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Transport for SyncTransport<'_, 
         f64::INFINITY
     }
 
-    fn consume(&mut self, worker: usize, _eval_id: u64, ready_at: f64) -> f64 {
+    fn consume(&mut self, worker: usize, eval_id: u64, ready_at: f64) -> f64 {
+        self.gen_eval_ids[worker] = eval_id;
         if worker < self.workers {
             // Receive, serialized on the master, no earlier than the
             // master finishing its own evaluation.
@@ -349,7 +365,7 @@ impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Transport for SyncTransport<'_, 
             self.arrivals_in_gen = 0;
             // Synchronous processing of the whole generation.
             for w in 0..=self.workers {
-                let ta = self.hooks.consume(w, self.now);
+                let ta = self.hooks.consume(w, self.gen_eval_ids[w], self.now);
                 self.rec
                     .span(Actor::Master, Activity::Algorithm, self.now, self.now + ta);
                 self.master_busy += ta;
@@ -399,6 +415,7 @@ pub fn run_sync<H: MasterSlaveHooks, R: Recorder + ?Sized>(
         now: 0.0,
         master_busy: 0.0,
         arrivals_in_gen: 0,
+        gen_eval_ids: vec![0; workers + 1],
     };
     // Generation width = workers + the self-evaluating master.
     let mut engine = MasterEngine::new(EngineConfig::sync_generational(workers + 1, n));
@@ -440,36 +457,6 @@ pub fn run_sync<H: MasterSlaveHooks, R: Recorder + ?Sized>(
 // Fault-tolerant asynchronous adapter
 // ---------------------------------------------------------------------------
 
-/// Problem-specific behaviour for the *fault-tolerant* asynchronous engine.
-///
-/// Unlike [`MasterSlaveHooks`], work items are identified by a stable
-/// `eval_id` so the master can reissue a lost evaluation to a different
-/// worker and suppress duplicate results. Implementations must treat
-/// `reissue` as "resend the work item produced for `eval_id`" — the
-/// candidate must not change, only the bookkeeping cost may differ.
-pub trait FaultTolerantHooks {
-    /// Master-side time to produce the *fresh* work item `eval_id` for
-    /// `worker`, starting at simulated time `now`.
-    fn produce(&mut self, worker: usize, eval_id: u64, now: f64) -> f64;
-
-    /// Master-side time to resend existing work item `eval_id` to
-    /// `worker`. Defaults to free: the candidate already exists, only the
-    /// message must be rebuilt (charged separately as `comm_time`).
-    fn reissue(&mut self, _worker: usize, _eval_id: u64, _now: f64) -> f64 {
-        0.0
-    }
-
-    /// Worker-side time to evaluate work item `eval_id` on `worker`.
-    fn evaluation_time(&mut self, worker: usize, eval_id: u64) -> f64;
-
-    /// Master-side time to process the result of `eval_id` returned by
-    /// `worker`, starting at `now`.
-    fn consume(&mut self, worker: usize, eval_id: u64, now: f64) -> f64;
-
-    /// One-way master↔worker message time.
-    fn comm_time(&mut self) -> f64;
-}
-
 /// Outcome of a fault-injected run: the ordinary [`RunOutcome`] plus the
 /// recovery ledger.
 #[derive(Debug, Clone, PartialEq)]
@@ -505,7 +492,7 @@ enum FaultEvent {
 /// hang, straggle) and the result message's fate (deliver, drop,
 /// duplicate), turning each into first-class DES events; deadlines become
 /// [`FaultEvent::Timeout`] entries carrying the deadline fingerprint.
-struct FaultyTransport<'a, H: FaultTolerantHooks, R: Recorder + ?Sized> {
+struct FaultyTransport<'a, H: MasterSlaveHooks, R: Recorder + ?Sized> {
     hooks: &'a mut H,
     plan: &'a FaultPlan,
     timeout: f64,
@@ -517,7 +504,7 @@ struct FaultyTransport<'a, H: FaultTolerantHooks, R: Recorder + ?Sized> {
     wait_max: f64,
 }
 
-impl<H: FaultTolerantHooks, R: Recorder + ?Sized> FaultyTransport<'_, H, R> {
+impl<H: MasterSlaveHooks, R: Recorder + ?Sized> FaultyTransport<'_, H, R> {
     /// The evaluation ran to completion on the worker; decide the fate of
     /// the result message.
     fn finish_evaluation(
@@ -556,13 +543,13 @@ impl<H: FaultTolerantHooks, R: Recorder + ?Sized> FaultyTransport<'_, H, R> {
     }
 }
 
-impl<H: FaultTolerantHooks, R: Recorder + ?Sized> Clock for FaultyTransport<'_, H, R> {
+impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Clock for FaultyTransport<'_, H, R> {
     fn now(&self) -> f64 {
         self.queue.now()
     }
 }
 
-impl<H: FaultTolerantHooks, R: Recorder + ?Sized> Transport for FaultyTransport<'_, H, R> {
+impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Transport for FaultyTransport<'_, H, R> {
     fn dispatch(
         &mut self,
         worker: usize,
@@ -697,7 +684,7 @@ impl<H: FaultTolerantHooks, R: Recorder + ?Sized> Transport for FaultyTransport<
 /// [`MasterEngine`]. With a quiet plan this engine follows the same event
 /// structure as [`run_async`] (timeouts never fire as long as
 /// `policy.timeout` exceeds the worst evaluation time).
-pub fn run_async_faulty<H: FaultTolerantHooks, R: Recorder + ?Sized>(
+pub fn run_async_faulty<H: MasterSlaveHooks, R: Recorder + ?Sized>(
     hooks: &mut H,
     workers: usize,
     n: u64,
@@ -712,7 +699,7 @@ pub fn run_async_faulty<H: FaultTolerantHooks, R: Recorder + ?Sized>(
 /// returns every protocol [`Command`] in decision order. The trace is the
 /// executor-independent transcript the differential equivalence tests
 /// compare across adapters.
-pub fn run_async_faulty_traced<H: FaultTolerantHooks, R: Recorder + ?Sized>(
+pub fn run_async_faulty_traced<H: MasterSlaveHooks, R: Recorder + ?Sized>(
     hooks: &mut H,
     workers: usize,
     n: u64,
@@ -723,7 +710,7 @@ pub fn run_async_faulty_traced<H: FaultTolerantHooks, R: Recorder + ?Sized>(
     run_async_faulty_inner(hooks, workers, n, plan, policy, rec, true)
 }
 
-fn run_async_faulty_inner<H: FaultTolerantHooks, R: Recorder + ?Sized>(
+fn run_async_faulty_inner<H: MasterSlaveHooks, R: Recorder + ?Sized>(
     hooks: &mut H,
     workers: usize,
     n: u64,
@@ -850,15 +837,14 @@ mod tests {
     }
 
     impl MasterSlaveHooks for ConstHooks {
-        fn produce(&mut self, _w: usize, _now: f64) -> f64 {
-            // Per-interaction T_A is charged on consume; production of the
-            // *initial* work items still costs T_A each.
+        fn produce(&mut self, _w: usize, _id: u64, _now: f64) -> f64 {
+            // Per-interaction T_A is charged on consume.
             0.0
         }
-        fn evaluation_time(&mut self, _w: usize) -> f64 {
+        fn evaluation_time(&mut self, _w: usize, _id: u64) -> f64 {
             self.t.t_f
         }
-        fn consume(&mut self, _w: usize, _now: f64) -> f64 {
+        fn consume(&mut self, _w: usize, _id: u64, _now: f64) -> f64 {
             self.t.t_a
         }
         fn comm_time(&mut self) -> f64 {
@@ -976,13 +962,13 @@ mod tests {
             rng: rand::rngs::StdRng,
         }
         impl MasterSlaveHooks for NoisyHooks {
-            fn produce(&mut self, _w: usize, _now: f64) -> f64 {
+            fn produce(&mut self, _w: usize, _id: u64, _now: f64) -> f64 {
                 0.0
             }
-            fn evaluation_time(&mut self, _w: usize) -> f64 {
+            fn evaluation_time(&mut self, _w: usize, _id: u64) -> f64 {
                 self.tf.sample(&mut self.rng)
             }
-            fn consume(&mut self, _w: usize, _now: f64) -> f64 {
+            fn consume(&mut self, _w: usize, _id: u64, _now: f64) -> f64 {
                 self.t.t_a
             }
             fn comm_time(&mut self) -> f64 {
@@ -1047,26 +1033,6 @@ mod tests {
 
     use borg_desim::fault::{FaultConfig, FaultPlan, ForcedCrash};
 
-    /// Constant-time hooks for the fault-tolerant engine.
-    struct ConstFtHooks {
-        t: TimingParams,
-    }
-
-    impl FaultTolerantHooks for ConstFtHooks {
-        fn produce(&mut self, _w: usize, _id: u64, _now: f64) -> f64 {
-            0.0
-        }
-        fn evaluation_time(&mut self, _w: usize, _id: u64) -> f64 {
-            self.t.t_f
-        }
-        fn consume(&mut self, _w: usize, _id: u64, _now: f64) -> f64 {
-            self.t.t_a
-        }
-        fn comm_time(&mut self) -> f64 {
-            self.t.t_c
-        }
-    }
-
     fn ft_policy(t: TimingParams) -> RecoveryPolicy {
         RecoveryPolicy::from_expected_eval_time(t.t_f, 4.0)
     }
@@ -1078,7 +1044,7 @@ mod tests {
         let plan = FaultPlan::new(FaultConfig::default(), 16, n, 77);
         let base = run_async(&mut ConstHooks { t }, 16, n, &NoopRecorder);
         let faulty = run_async_faulty(
-            &mut ConstFtHooks { t },
+            &mut ConstHooks { t },
             16,
             n,
             &plan,
@@ -1114,7 +1080,7 @@ mod tests {
         let plan = FaultPlan::new(cfg, 16, n, 1234);
         assert!(plan.doomed_workers() > 0, "seed should doom someone");
         let out = run_async_faulty(
-            &mut ConstFtHooks { t },
+            &mut ConstHooks { t },
             16,
             n,
             &plan,
@@ -1143,7 +1109,7 @@ mod tests {
         };
         let plan = FaultPlan::new(cfg, 4, n, 5);
         let out = run_async_faulty(
-            &mut ConstFtHooks { t },
+            &mut ConstHooks { t },
             4,
             n,
             &plan,
@@ -1172,7 +1138,7 @@ mod tests {
         };
         let plan = FaultPlan::new(cfg, 4, n, 5);
         let out = run_async_faulty(
-            &mut ConstFtHooks { t },
+            &mut ConstHooks { t },
             4,
             n,
             &plan,
@@ -1200,7 +1166,7 @@ mod tests {
         let run = || {
             let plan = FaultPlan::new(cfg.clone(), 12, n, 99);
             run_async_faulty(
-                &mut ConstFtHooks { t },
+                &mut ConstHooks { t },
                 12,
                 n,
                 &plan,
@@ -1226,7 +1192,7 @@ mod tests {
         let plan = FaultPlan::new(cfg, 6, 100_000, 21);
         assert_eq!(plan.doomed_workers(), 6);
         let out = run_async_faulty(
-            &mut ConstFtHooks { t },
+            &mut ConstHooks { t },
             6,
             n,
             &plan,
@@ -1253,7 +1219,7 @@ mod tests {
         };
         let plan = FaultPlan::new(cfg, 8, n, 4242);
         let (out, commands) = run_async_faulty_traced(
-            &mut ConstFtHooks { t },
+            &mut ConstHooks { t },
             8,
             n,
             &plan,
@@ -1284,7 +1250,7 @@ mod tests {
         assert_eq!(retired, out.fault_log.deaths_detected);
         // And an untraced run is bit-identical.
         let untraced = run_async_faulty(
-            &mut ConstFtHooks { t },
+            &mut ConstHooks { t },
             8,
             n,
             &plan,

@@ -7,13 +7,13 @@
 //! ```
 //!
 //! The master runs `borg_models::queueing::run_async_faulty` — the same
-//! DES fault oracle the determinism gate replays — with hooks that
-//! mirror the virtual executor's `FtBorgHooks` RNG conventions *exactly*
-//! (same seed derivations, same `SplitMix64` call order, same sampled
-//! `T_A` charging), except that `produce`/`reissue` physically send the
-//! candidate over the wire and `consume` physically blocks until the
-//! worker's result frame arrives, feeding the remote objective bits into
-//! the engine. All fate decisions and ledger writes stay in the shared
+//! DES fault oracle the determinism gate replays — with hooks that hold
+//! the virtual executor's own draw rule
+//! (`borg_parallel::virtual_exec::VirtualDraws`: seed split, `T_F`/`T_C`
+//! draws, sampled `T_A` charging), except that `produce`/`reissue`
+//! physically send the candidate over the wire and `consume` physically
+//! blocks until the worker's result frame arrives, feeding the remote
+//! objective bits into the engine. All fate decisions and ledger writes stay in the shared
 //! `FaultyTransport`, so the fault ledger, recovery actions, and final
 //! archive are bit-identical to the DES oracle by construction — while
 //! the wire stays load-bearing: every consumed objective travelled
@@ -38,15 +38,14 @@ use crate::transport::{
 use crate::worker::{run_worker, WorkerOptions};
 use borg_core::algorithm::{BorgConfig, BorgEngine, Candidate};
 use borg_core::problem::Problem;
-use borg_core::rng::SplitMix64;
 use borg_desim::fault::{DispatchFate, FaultConfig, FaultKind, FaultLog, FaultPlan, MessageFate};
-use borg_models::dist::Dist;
-use borg_models::queueing::{run_async_faulty, FaultTolerantHooks, RunOutcome};
+use borg_models::queueing::{run_async_faulty, MasterSlaveHooks, RunOutcome};
 use borg_obs::{Recorder, TraceEdge, TraceEdgeKind};
-use borg_parallel::virtual_exec::{default_recovery_policy, fault_plan_for, TaMode, VirtualConfig};
+use borg_parallel::virtual_exec::{
+    default_recovery_policy, fault_plan_for, TaMode, VirtualConfig, VirtualDraws,
+};
 use crossbeam::channel;
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -122,7 +121,8 @@ pub struct ChaosRunResult {
 }
 
 // ---------------------------------------------------------------------------
-// Pinned-mode hooks: FtBorgHooks with the evaluation moved onto the wire
+// Pinned-mode hooks: the virtual executor's hooks with the evaluation
+// moved onto the wire
 // ---------------------------------------------------------------------------
 
 /// A decoded result frame waiting for its `consume`.
@@ -139,13 +139,10 @@ enum MasterNote {
     Dead,
 }
 
-/// `FaultTolerantHooks` whose RNG stream is call-for-call identical to
-/// the virtual executor's `FtBorgHooks` (seed derivations
-/// `virtual-engine`/`virtual-delays`, sampled-`T_A` charging on the
-/// first `workers` productions and on every consume, `T_F` draw per
-/// `evaluation_time`, `T_C` draw per `comm_time`, reissues free) — but
-/// `produce`/`reissue` send the candidate over a real socket and
-/// `consume` blocks until the result frame returns.
+/// `MasterSlaveHooks` that draw their timing through the virtual
+/// executor's [`VirtualDraws`] — so the RNG stream is the DES oracle's
+/// by construction — but `produce`/`reissue` send the candidate over a
+/// real socket and `consume` blocks until the result frame returns.
 struct NetFtHooks<'p, 'w, P: Problem + ?Sized, R: Recorder + ?Sized> {
     engine: BorgEngine,
     problem: &'p P,
@@ -159,16 +156,9 @@ struct NetFtHooks<'p, 'w, P: Problem + ?Sized, R: Recorder + ?Sized> {
     writers: Vec<NetStream>,
     rx: channel::Receiver<MasterNote>,
     buffered: BTreeMap<u64, Vec<WireOutcome>>,
-    t_f: Dist,
-    t_c: Dist,
-    t_a: Dist,
-    rng: StdRng,
-    ta_samples: Vec<f64>,
-    tf_samples: Vec<f64>,
+    draws: VirtualDraws,
     objs_buf: Vec<f64>,
     cons_buf: Vec<f64>,
-    initial_productions: usize,
-    workers: usize,
     result_wait: Duration,
     error: Option<NetError>,
     wire_results: u64,
@@ -186,15 +176,14 @@ impl<'p, 'w, P: Problem + ?Sized, R: Recorder + ?Sized> NetFtHooks<'p, 'w, P, R>
         result_wait: Duration,
         rec: &'w R,
     ) -> Self {
-        let TaMode::Sampled(t_a) = config.t_a else {
-            panic!("chaos loopback requires pinned timing (TaMode::Sampled)");
-        };
-        let mut split = SplitMix64::new(config.seed);
-        let engine_seed = split.derive_seed("virtual-engine");
-        let rng = split.derive("virtual-delays");
+        assert!(
+            matches!(config.t_a, TaMode::Sampled(_)),
+            "chaos loopback requires pinned timing (TaMode::Sampled)"
+        );
         let workers = (config.processors - 1) as usize;
+        let (engine, draws) = VirtualDraws::new(problem, borg, config, workers);
         NetFtHooks {
-            engine: BorgEngine::new(problem, borg, engine_seed),
+            engine,
             problem,
             pending: BTreeMap::new(),
             attempts: BTreeMap::new(),
@@ -202,28 +191,15 @@ impl<'p, 'w, P: Problem + ?Sized, R: Recorder + ?Sized> NetFtHooks<'p, 'w, P, R>
             writers,
             rx,
             buffered: BTreeMap::new(),
-            t_f: config.t_f,
-            t_c: config.t_c,
-            t_a,
-            rng,
-            ta_samples: Vec::new(),
-            tf_samples: Vec::new(),
+            draws,
             objs_buf: vec![0.0; problem.num_objectives()],
             cons_buf: vec![0.0; problem.num_constraints()],
-            initial_productions: 0,
-            workers,
             result_wait,
             error: None,
             wire_results: 0,
             wire_duplicates: 0,
             rec,
         }
-    }
-
-    fn charge_ta(&mut self) -> f64 {
-        let t = self.t_a.sample(&mut self.rng);
-        self.ta_samples.push(t);
-        t
     }
 
     /// `now` is the DES virtual clock: trace stamps and flight events on
@@ -328,21 +304,14 @@ impl<'p, 'w, P: Problem + ?Sized, R: Recorder + ?Sized> NetFtHooks<'p, 'w, P, R>
     }
 }
 
-impl<P: Problem + ?Sized, R: Recorder + ?Sized> FaultTolerantHooks for NetFtHooks<'_, '_, P, R> {
+impl<P: Problem + ?Sized, R: Recorder + ?Sized> MasterSlaveHooks for NetFtHooks<'_, '_, P, R> {
     fn produce(&mut self, worker: usize, eval_id: u64, now: f64) -> f64 {
         let candidate = self.engine.produce();
         self.attempts.insert(eval_id, 0);
         self.send_work(worker, eval_id, 0, candidate.variables.clone(), now);
         self.pending.insert(eval_id, candidate);
-        // Sampled-T_A charging convention shared with FtBorgHooks: the
-        // initial per-worker seeding productions each draw a sample,
-        // every later produce is free (consume draws instead).
-        if self.initial_productions < self.workers {
-            self.initial_productions += 1;
-            self.charge_ta()
-        } else {
-            0.0
-        }
+        // Timing is pinned (`TaMode::Sampled`), so the real cost is unused.
+        self.draws.produce(0.0)
     }
 
     fn reissue(&mut self, worker: usize, eval_id: u64, now: f64) -> f64 {
@@ -365,16 +334,14 @@ impl<P: Problem + ?Sized, R: Recorder + ?Sized> FaultTolerantHooks for NetFtHook
                 }
             }
         }
-        // Reissues are free, like the FaultTolerantHooks default: the
+        // Reissues are free, like the MasterSlaveHooks default: the
         // candidate already exists, only comm_time is charged (by the
         // transport). No RNG draw.
         0.0
     }
 
     fn evaluation_time(&mut self, _worker: usize, _eval_id: u64) -> f64 {
-        let t = self.t_f.sample(&mut self.rng);
-        self.tf_samples.push(t);
-        t
+        self.draws.evaluation_time()
     }
 
     fn consume(&mut self, worker: usize, eval_id: u64, now: f64) -> f64 {
@@ -384,7 +351,7 @@ impl<P: Problem + ?Sized, R: Recorder + ?Sized> FaultTolerantHooks for NetFtHook
                     "consume of eval {eval_id} with no pending candidate"
                 )));
             }
-            return self.charge_ta();
+            return self.draws.consume(0.0);
         };
         let (objectives, constraints) = match self.await_outcome(eval_id) {
             Ok(outcome) => {
@@ -420,11 +387,11 @@ impl<P: Problem + ?Sized, R: Recorder + ?Sized> FaultTolerantHooks for NetFtHook
             .engine
             .make_solution(candidate, objectives, constraints);
         self.engine.consume(solution);
-        self.charge_ta()
+        self.draws.consume(0.0)
     }
 
     fn comm_time(&mut self) -> f64 {
-        self.t_c.sample(&mut self.rng)
+        self.draws.comm_time()
     }
 }
 
@@ -900,12 +867,13 @@ where
             }
         }
 
+        let (ta_samples, tf_samples) = hooks.draws.into_samples();
         Ok(RunBundle {
             faulty_outcome: faulty.outcome,
             fault_log: faulty.fault_log,
             engine: hooks.engine,
-            ta_samples: hooks.ta_samples,
-            tf_samples: hooks.tf_samples,
+            ta_samples,
+            tf_samples,
             wire_results: hooks.wire_results,
             wire_duplicates: hooks.wire_duplicates,
             worker_reconnects,

@@ -394,20 +394,6 @@ pub fn run_threaded_observed<P: Problem + ?Sized, R: Recorder + Sync + ?Sized>(
     run_threaded_inner(problem, borg, config, rec, false).map(|(result, _)| result)
 }
 
-/// [`run_threaded`] with the [`MasterEngine`]'s [`Command`] trace recorded
-/// — the wall-clock executor's protocol transcript, for event-ordering
-/// assertions that do not depend on machine load.
-///
-/// # Errors
-/// As [`run_threaded`].
-pub fn run_threaded_traced<P: Problem + ?Sized>(
-    problem: &P,
-    borg: BorgConfig,
-    config: &ThreadedConfig,
-) -> Result<(ThreadedRunResult, Vec<Command>), ThreadedError> {
-    run_threaded_inner(problem, borg, config, &NoopRecorder, true)
-}
-
 fn run_threaded_inner<P: Problem + ?Sized, R: Recorder + Sync + ?Sized>(
     problem: &P,
     borg: BorgConfig,
@@ -848,8 +834,14 @@ mod tests {
             faults: None,
             reissue_timeout: None,
         };
-        let (result, commands) =
-            run_threaded_traced(&problem, BorgConfig::new(5, 0.06), &cfg).expect("run");
+        let (result, commands) = run_threaded_inner(
+            &problem,
+            BorgConfig::new(5, 0.06),
+            &cfg,
+            &NoopRecorder,
+            true,
+        )
+        .expect("run");
         let ideal = nfe as f64 * t_f / workers as f64;
         assert!(
             result.elapsed >= ideal * 0.9,

@@ -17,8 +17,8 @@ use borg_core::solution::Solution;
 use borg_desim::fault::{FaultConfig, FaultLog, FaultPlan};
 use borg_models::dist::Dist;
 use borg_models::queueing::{
-    run_async, run_async_faulty, run_async_faulty_traced, run_sync, FaultTolerantHooks,
-    MasterSlaveHooks, RecoveryPolicy, RunOutcome,
+    run_async, run_async_faulty, run_async_faulty_traced, run_sync, MasterSlaveHooks,
+    RecoveryPolicy, RunOutcome,
 };
 use borg_obs::Recorder;
 use borg_protocol::Command;
@@ -84,72 +84,167 @@ pub struct VirtualRunResult {
     pub fault_log: FaultLog,
 }
 
-/// A produced candidate with its eagerly computed objectives/constraints,
-/// awaiting its virtual evaluation delay.
-type PendingResult = Option<(Candidate, Vec<f64>, Vec<f64>)>;
-
-/// The hooks wiring a [`BorgEngine`] + [`Problem`] into the queueing engine.
-struct BorgHooks<'p, P: Problem + ?Sized, F> {
-    engine: BorgEngine,
-    problem: &'p P,
-    pending: Vec<PendingResult>,
+/// The virtual executors' timing draw rule, in one place so every host of
+/// the Borg engine on a DES clock (the virtual executors here, the
+/// networked chaos oracle in `borg-net`) consumes the same RNG stream
+/// call for call.
+///
+/// * `config.seed` splits into the engine seed (`virtual-engine`) and the
+///   delay stream (`virtual-delays`), in that order.
+/// * Each [`evaluation_time`](Self::evaluation_time) draws one `T_F`, each
+///   [`comm_time`](Self::comm_time) one `T_C`.
+/// * Sampled `T_A` is per master *interaction* and charged on consume
+///   (the paper's `hold(T_C + T_A + T_C)`); only the first `slots`
+///   productions — the pipeline seeding — draw their own sample.
+///   Reissues draw nothing.
+/// * Measured `T_A` charges each call's real cost; a production that
+///   directly follows a consume (same master hold) is merged into that
+///   consume's sample, so `ta_samples` holds per-interaction sums — the
+///   quantity the paper's models call `T_A`.
+#[derive(Debug)]
+pub struct VirtualDraws {
     t_f: Dist,
     t_c: Dist,
     t_a: TaMode,
     rng: StdRng,
+    /// Productions left that charge their own sampled `T_A`.
+    seeding: usize,
+    merge_next_produce: bool,
     ta_samples: Vec<f64>,
     tf_samples: Vec<f64>,
-    objs_buf: Vec<f64>,
-    cons_buf: Vec<f64>,
-    observer: F,
-    /// In `Sampled` mode the per-interaction `T_A` is charged once, on
-    /// consume (matching the paper's `hold(T_C + T_A + T_C)` and the
-    /// performance model); only the *initial* productions draw their own
-    /// sample. `Measured` mode charges each call's real cost.
-    seeded: Vec<bool>,
-    /// `Measured` mode: the consume that just pushed a sample expects the
-    /// immediately-following produce (same master hold) to merge into it,
-    /// so `ta_samples` holds *per-interaction* sums — the quantity the
-    /// paper's models call `T_A`.
-    merge_next_produce: bool,
 }
 
-impl<'p, P: Problem + ?Sized, F: FnMut(f64, &BorgEngine)> BorgHooks<'p, P, F> {
-    fn new(problem: &'p P, config: &VirtualConfig, borg: BorgConfig, observer: F) -> Self {
+impl VirtualDraws {
+    /// Splits `config.seed` into the Borg engine and the delay draws.
+    /// `slots` is the number of productions that seed the pipeline: the
+    /// worker count for asynchronous runs, one more (the self-evaluating
+    /// master) for generational ones, zero for the serial baseline.
+    pub fn new<P: Problem + ?Sized>(
+        problem: &P,
+        borg: BorgConfig,
+        config: &VirtualConfig,
+        slots: usize,
+    ) -> (BorgEngine, Self) {
         let mut split = SplitMix64::new(config.seed);
-        let engine_seed = split.derive_seed("virtual-engine");
-        let rng = split.derive("virtual-delays");
-        let workers = (config.processors - 1) as usize;
-        Self {
-            engine: BorgEngine::new(problem, borg, engine_seed),
-            problem,
-            pending: (0..workers + 1).map(|_| None).collect(),
+        let engine = BorgEngine::new(problem, borg, split.derive_seed("virtual-engine"));
+        let draws = Self {
             t_f: config.t_f,
             t_c: config.t_c,
             t_a: config.t_a,
-            rng,
+            rng: split.derive("virtual-delays"),
+            seeding: slots,
+            merge_next_produce: false,
             ta_samples: Vec::new(),
             tf_samples: Vec::new(),
-            objs_buf: vec![0.0; problem.num_objectives()],
-            cons_buf: vec![0.0; problem.num_constraints()],
-            observer,
-            seeded: vec![false; workers + 1],
-            merge_next_produce: false,
+        };
+        (engine, draws)
+    }
+
+    /// `T_A` charged for a fresh production whose real cost was `real`
+    /// seconds.
+    pub fn produce(&mut self, real: f64) -> f64 {
+        match self.t_a {
+            TaMode::Measured => {
+                if std::mem::take(&mut self.merge_next_produce) {
+                    if let Some(last) = self.ta_samples.last_mut() {
+                        *last += real;
+                    }
+                } else {
+                    self.ta_samples.push(real);
+                }
+                real
+            }
+            TaMode::Sampled(_) if self.seeding > 0 => {
+                // A seeding production is its own interaction.
+                self.seeding -= 1;
+                self.consume(real)
+            }
+            TaMode::Sampled(_) => 0.0,
         }
     }
 
-    fn charge_ta(&mut self, real: f64) -> f64 {
+    /// `T_A` charged for a consume whose real cost was `real` seconds.
+    pub fn consume(&mut self, real: f64) -> f64 {
         let t = match self.t_a {
-            TaMode::Measured => real,
+            TaMode::Measured => {
+                self.merge_next_produce = true;
+                real
+            }
             TaMode::Sampled(d) => d.sample(&mut self.rng),
         };
         self.ta_samples.push(t);
         t
     }
+
+    /// One `T_F` draw.
+    pub fn evaluation_time(&mut self) -> f64 {
+        let t = self.t_f.sample(&mut self.rng);
+        self.tf_samples.push(t);
+        t
+    }
+
+    /// One `T_C` draw.
+    pub fn comm_time(&mut self) -> f64 {
+        self.t_c.sample(&mut self.rng)
+    }
+
+    /// The charged `T_A` values (seconds; one per master interaction, plus
+    /// one per seeding production in `Sampled` mode) and the `T_F` draws.
+    pub fn into_samples(self) -> (Vec<f64>, Vec<f64>) {
+        (self.ta_samples, self.tf_samples)
+    }
+}
+
+/// The hooks wiring a [`BorgEngine`] + [`Problem`] into the queueing
+/// engine, for every virtual run mode.
+struct BorgHooks<'p, P: Problem + ?Sized, F> {
+    engine: BorgEngine,
+    problem: &'p P,
+    /// Produced candidates with their eagerly computed objectives and
+    /// constraints, keyed by evaluation id, awaiting their virtual
+    /// evaluation delay. A reissue resends the same candidate; the first
+    /// copy to arrive is consumed.
+    pending: BTreeMap<u64, (Candidate, Vec<f64>, Vec<f64>)>,
+    draws: VirtualDraws,
+    objs_buf: Vec<f64>,
+    cons_buf: Vec<f64>,
+    observer: F,
+}
+
+impl<'p, P: Problem + ?Sized, F: FnMut(f64, &BorgEngine)> BorgHooks<'p, P, F> {
+    fn new(
+        problem: &'p P,
+        config: &VirtualConfig,
+        borg: BorgConfig,
+        slots: usize,
+        observer: F,
+    ) -> Self {
+        let (engine, draws) = VirtualDraws::new(problem, borg, config, slots);
+        Self {
+            engine,
+            problem,
+            pending: BTreeMap::new(),
+            draws,
+            objs_buf: vec![0.0; problem.num_objectives()],
+            cons_buf: vec![0.0; problem.num_constraints()],
+            observer,
+        }
+    }
+
+    fn into_result(self, outcome: RunOutcome, fault_log: FaultLog) -> VirtualRunResult {
+        let (ta_samples, tf_samples) = self.draws.into_samples();
+        VirtualRunResult {
+            outcome,
+            engine: self.engine,
+            ta_samples,
+            tf_samples,
+            fault_log,
+        }
+    }
 }
 
 impl<'p, P: Problem + ?Sized, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHooks<'p, P, F> {
-    fn produce(&mut self, worker: usize, _now: f64) -> f64 {
+    fn produce(&mut self, _worker: usize, eval_id: u64, _now: f64) -> f64 {
         let start = Instant::now();
         let candidate = self.engine.produce();
         let real = start.elapsed().as_secs_f64();
@@ -158,63 +253,45 @@ impl<'p, P: Problem + ?Sized, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for B
         // `evaluation_time`, matching the paper's controlled delays.
         self.problem
             .evaluate(&candidate.variables, &mut self.objs_buf, &mut self.cons_buf);
-        self.pending[worker] = Some((candidate, self.objs_buf.clone(), self.cons_buf.clone()));
-        match self.t_a {
-            TaMode::Measured => {
-                if self.merge_next_produce {
-                    // Same master hold as the preceding consume: fold into
-                    // that interaction's sample.
-                    self.merge_next_produce = false;
-                    if let Some(last) = self.ta_samples.last_mut() {
-                        *last += real;
-                    }
-                    real
-                } else {
-                    self.ta_samples.push(real);
-                    real
-                }
-            }
-            TaMode::Sampled(_) => {
-                // Sampled T_A is per *interaction* and charged on consume;
-                // only the initial seeding production draws its own sample.
-                if worker < self.seeded.len() && !self.seeded[worker] {
-                    self.seeded[worker] = true;
-                    self.charge_ta(real)
-                } else {
-                    0.0
-                }
-            }
-        }
+        self.pending.insert(
+            eval_id,
+            (candidate, self.objs_buf.clone(), self.cons_buf.clone()),
+        );
+        self.draws.produce(real)
     }
 
-    fn evaluation_time(&mut self, _worker: usize) -> f64 {
-        let t = self.t_f.sample(&mut self.rng);
-        self.tf_samples.push(t);
-        t
+    fn evaluation_time(&mut self, _worker: usize, _eval_id: u64) -> f64 {
+        self.draws.evaluation_time()
     }
 
-    fn consume(&mut self, worker: usize, now: f64) -> f64 {
-        // The queueing engine only issues consume() after the matching
-        // produce(); an empty slot means the simulation itself is corrupted
-        // and panicking immediately is the correct response.
-        let (candidate, objs, cons) = self.pending[worker]
-            .take() // borg-lint: allow(BORG-L001)
+    fn consume(&mut self, _worker: usize, eval_id: u64, now: f64) -> f64 {
+        // The queueing engine consumes each evaluation id exactly once,
+        // after its produce (duplicates are suppressed upstream); a
+        // missing entry means the simulation itself is corrupted.
+        let (candidate, objs, cons) = self
+            .pending
+            .remove(&eval_id) // borg-lint: allow(BORG-L001)
             .expect("consume without a pending result");
         let start = Instant::now();
         let solution: Solution = self.engine.make_solution(candidate, objs, cons);
         self.engine.consume(solution);
         let real = start.elapsed().as_secs_f64();
         (self.observer)(now, &self.engine);
-        let charged = self.charge_ta(real);
-        if matches!(self.t_a, TaMode::Measured) {
-            self.merge_next_produce = true;
-        }
-        charged
+        self.draws.consume(real)
     }
 
     fn comm_time(&mut self) -> f64 {
-        self.t_c.sample(&mut self.rng)
+        self.draws.comm_time()
     }
+}
+
+/// `P − 1`, the worker count of a master-slave configuration.
+fn worker_count(config: &VirtualConfig) -> usize {
+    assert!(
+        config.processors >= 2,
+        "need a master and at least one worker"
+    );
+    (config.processors - 1) as usize
 }
 
 /// Runs the asynchronous master-slave Borg MOEA in virtual time.
@@ -233,20 +310,10 @@ where
     F: FnMut(f64, &BorgEngine),
     R: Recorder + ?Sized,
 {
-    assert!(
-        config.processors >= 2,
-        "need a master and at least one worker"
-    );
-    let workers = (config.processors - 1) as usize;
-    let mut hooks = BorgHooks::new(problem, config, borg, observer);
+    let workers = worker_count(config);
+    let mut hooks = BorgHooks::new(problem, config, borg, workers, observer);
     let outcome = run_async(&mut hooks, workers, config.max_nfe, rec);
-    VirtualRunResult {
-        outcome,
-        engine: hooks.engine,
-        ta_samples: hooks.ta_samples,
-        tf_samples: hooks.tf_samples,
-        fault_log: FaultLog::default(),
-    }
+    hooks.into_result(outcome, FaultLog::default())
 }
 
 /// Runs a *generational synchronous* master-slave Borg MOEA in virtual
@@ -263,17 +330,11 @@ where
     F: FnMut(f64, &BorgEngine),
     R: Recorder + ?Sized,
 {
-    assert!(config.processors >= 2);
-    let workers = (config.processors - 1) as usize;
-    let mut hooks = BorgHooks::new(problem, config, borg, observer);
+    let workers = worker_count(config);
+    // Generation width: the workers plus the self-evaluating master.
+    let mut hooks = BorgHooks::new(problem, config, borg, workers + 1, observer);
     let outcome = run_sync(&mut hooks, workers, config.max_nfe, rec);
-    VirtualRunResult {
-        outcome,
-        engine: hooks.engine,
-        ta_samples: hooks.ta_samples,
-        tf_samples: hooks.tf_samples,
-        fault_log: FaultLog::default(),
-    }
+    hooks.into_result(outcome, FaultLog::default())
 }
 
 /// Runs the Borg MOEA *serially* while charging the same virtual clock
@@ -289,13 +350,8 @@ where
     P: Problem + ?Sized,
     F: FnMut(f64, &BorgEngine),
 {
-    let mut split = SplitMix64::new(config.seed);
-    let engine_seed = split.derive_seed("virtual-engine");
-    let mut rng = split.derive("virtual-delays");
-    let mut engine = BorgEngine::new(problem, borg, engine_seed);
+    let (mut engine, mut draws) = VirtualDraws::new(problem, borg, config, 0);
     let mut clock = 0.0f64;
-    let mut ta_samples = Vec::new();
-    let mut tf_samples = Vec::new();
     let mut objs = vec![0.0; problem.num_objectives()];
     let mut cons = vec![0.0; problem.num_constraints()];
 
@@ -305,22 +361,17 @@ where
         let produce_real = t0.elapsed().as_secs_f64();
         problem.evaluate(&cand.variables, &mut objs, &mut cons);
         let sol = engine.make_solution(cand, objs.clone(), cons.clone());
-        let tf = config.t_f.sample(&mut rng);
-        tf_samples.push(tf);
-        clock += tf;
+        clock += draws.evaluation_time();
         let t1 = Instant::now();
         engine.consume(sol);
         let consume_real = t1.elapsed().as_secs_f64();
-        let ta = match config.t_a {
-            TaMode::Measured => produce_real + consume_real,
-            TaMode::Sampled(d) => d.sample(&mut rng),
-        };
-        ta_samples.push(ta);
-        clock += ta;
+        // One serial step is one interaction: produce and consume.
+        clock += draws.consume(produce_real + consume_real);
         observer(clock, &engine);
     }
 
     let completed = engine.nfe();
+    let (ta_samples, tf_samples) = draws.into_samples();
     VirtualRunResult {
         outcome: RunOutcome {
             elapsed: clock,
@@ -339,138 +390,6 @@ where
     }
 }
 
-/// The hooks wiring a [`BorgEngine`] + [`Problem`] into the
-/// *fault-tolerant* queueing engine. Work items are keyed by evaluation
-/// id so a reissued evaluation re-sends the same candidate and the
-/// first-arriving copy wins.
-struct FtBorgHooks<'p, P: Problem + ?Sized, F> {
-    engine: BorgEngine,
-    problem: &'p P,
-    pending: BTreeMap<u64, (Candidate, Vec<f64>, Vec<f64>)>,
-    t_f: Dist,
-    t_c: Dist,
-    t_a: TaMode,
-    rng: StdRng,
-    ta_samples: Vec<f64>,
-    tf_samples: Vec<f64>,
-    objs_buf: Vec<f64>,
-    cons_buf: Vec<f64>,
-    observer: F,
-    /// Same `T_A` charging convention as [`BorgHooks`]: in `Sampled` mode
-    /// each *consume* draws the per-interaction sample and the initial
-    /// per-worker seeding productions draw their own; in `Measured` mode
-    /// every call charges its real wall-clock cost (reissues are free —
-    /// the candidate already exists).
-    initial_productions: usize,
-    workers: usize,
-    merge_next_produce: bool,
-}
-
-impl<'p, P: Problem + ?Sized, F: FnMut(f64, &BorgEngine)> FtBorgHooks<'p, P, F> {
-    fn new(problem: &'p P, config: &VirtualConfig, borg: BorgConfig, observer: F) -> Self {
-        let mut split = SplitMix64::new(config.seed);
-        let engine_seed = split.derive_seed("virtual-engine");
-        let rng = split.derive("virtual-delays");
-        let workers = (config.processors - 1) as usize;
-        Self {
-            engine: BorgEngine::new(problem, borg, engine_seed),
-            problem,
-            pending: BTreeMap::new(),
-            t_f: config.t_f,
-            t_c: config.t_c,
-            t_a: config.t_a,
-            rng,
-            ta_samples: Vec::new(),
-            tf_samples: Vec::new(),
-            objs_buf: vec![0.0; problem.num_objectives()],
-            cons_buf: vec![0.0; problem.num_constraints()],
-            observer,
-            initial_productions: 0,
-            workers,
-            merge_next_produce: false,
-        }
-    }
-
-    fn charge_ta(&mut self, real: f64) -> f64 {
-        let t = match self.t_a {
-            TaMode::Measured => real,
-            TaMode::Sampled(d) => d.sample(&mut self.rng),
-        };
-        self.ta_samples.push(t);
-        t
-    }
-}
-
-impl<'p, P: Problem + ?Sized, F: FnMut(f64, &BorgEngine)> FaultTolerantHooks
-    for FtBorgHooks<'p, P, F>
-{
-    fn produce(&mut self, _worker: usize, eval_id: u64, _now: f64) -> f64 {
-        let start = Instant::now();
-        let candidate = self.engine.produce();
-        let real = start.elapsed().as_secs_f64();
-        // Evaluate eagerly (single-threaded); the virtual duration is the
-        // T_F sample charged in `evaluation_time`.
-        self.problem
-            .evaluate(&candidate.variables, &mut self.objs_buf, &mut self.cons_buf);
-        self.pending.insert(
-            eval_id,
-            (candidate, self.objs_buf.clone(), self.cons_buf.clone()),
-        );
-        match self.t_a {
-            TaMode::Measured => {
-                if self.merge_next_produce {
-                    self.merge_next_produce = false;
-                    if let Some(last) = self.ta_samples.last_mut() {
-                        *last += real;
-                    }
-                    real
-                } else {
-                    self.ta_samples.push(real);
-                    real
-                }
-            }
-            TaMode::Sampled(_) => {
-                if self.initial_productions < self.workers {
-                    self.initial_productions += 1;
-                    self.charge_ta(real)
-                } else {
-                    0.0
-                }
-            }
-        }
-    }
-
-    fn evaluation_time(&mut self, _worker: usize, _eval_id: u64) -> f64 {
-        let t = self.t_f.sample(&mut self.rng);
-        self.tf_samples.push(t);
-        t
-    }
-
-    fn consume(&mut self, _worker: usize, eval_id: u64, now: f64) -> f64 {
-        // The fault-tolerant engine consumes each evaluation id exactly
-        // once (duplicates are suppressed upstream); a missing entry means
-        // the simulation itself is corrupted.
-        let (candidate, objs, cons) = self
-            .pending
-            .remove(&eval_id) // borg-lint: allow(BORG-L001)
-            .expect("consume without a pending result");
-        let start = Instant::now();
-        let solution: Solution = self.engine.make_solution(candidate, objs, cons);
-        self.engine.consume(solution);
-        let real = start.elapsed().as_secs_f64();
-        (self.observer)(now, &self.engine);
-        let charged = self.charge_ta(real);
-        if matches!(self.t_a, TaMode::Measured) {
-            self.merge_next_produce = true;
-        }
-        charged
-    }
-
-    fn comm_time(&mut self) -> f64 {
-        self.t_c.sample(&mut self.rng)
-    }
-}
-
 /// Derives the [`FaultPlan`] a faulty virtual run with this configuration
 /// will use (exposed so replay checks can inspect the plan).
 pub fn fault_plan_for(config: &VirtualConfig, faults: &FaultConfig) -> FaultPlan {
@@ -486,7 +405,7 @@ pub fn fault_plan_for(config: &VirtualConfig, faults: &FaultConfig) -> FaultPlan
 /// The default recovery policy for a virtual configuration: timeout
 /// `k · E[T_F]` with `k = 4` (comfortably above the `straggler_factor`
 /// would require a larger `k`; callers needing that pass their own
-/// [`RecoveryPolicy`] to [`run_virtual_async_faulty_with`]).
+/// [`RecoveryPolicy`] to [`run_virtual_async_faulty_traced`]).
 pub fn default_recovery_policy(config: &VirtualConfig) -> RecoveryPolicy {
     RecoveryPolicy::from_expected_eval_time(config.t_f.mean(), 4.0)
 }
@@ -512,44 +431,16 @@ where
     F: FnMut(f64, &BorgEngine),
     R: Recorder + ?Sized,
 {
-    let policy = default_recovery_policy(config);
-    run_virtual_async_faulty_with(problem, borg, config, faults, policy, rec, observer)
-}
-
-/// [`run_virtual_async_faulty`] with an explicit [`RecoveryPolicy`].
-pub fn run_virtual_async_faulty_with<P, F, R>(
-    problem: &P,
-    borg: BorgConfig,
-    config: &VirtualConfig,
-    faults: &FaultConfig,
-    policy: RecoveryPolicy,
-    rec: &R,
-    observer: F,
-) -> VirtualRunResult
-where
-    P: Problem + ?Sized,
-    F: FnMut(f64, &BorgEngine),
-    R: Recorder + ?Sized,
-{
-    assert!(
-        config.processors >= 2,
-        "need a master and at least one worker"
-    );
-    let workers = (config.processors - 1) as usize;
+    let workers = worker_count(config);
     let plan = fault_plan_for(config, faults);
-    let mut hooks = FtBorgHooks::new(problem, config, borg, observer);
+    let policy = default_recovery_policy(config);
+    let mut hooks = BorgHooks::new(problem, config, borg, workers, observer);
     let faulty = run_async_faulty(&mut hooks, workers, config.max_nfe, &plan, policy, rec);
-    VirtualRunResult {
-        outcome: faulty.outcome,
-        engine: hooks.engine,
-        ta_samples: hooks.ta_samples,
-        tf_samples: hooks.tf_samples,
-        fault_log: faulty.fault_log,
-    }
+    hooks.into_result(faulty.outcome, faulty.fault_log)
 }
 
-/// [`run_virtual_async_faulty_with`] with the protocol engine's command
-/// trace enabled: also returns every [`Command`] the shared
+/// [`run_virtual_async_faulty`] with an explicit [`RecoveryPolicy`] and
+/// the protocol engine's command trace enabled: also returns every [`Command`] the shared
 /// [`MasterEngine`](borg_protocol::MasterEngine) issued, in decision
 /// order. The differential equivalence tests compare this transcript
 /// against the performance-model adapter's under identical timing to
@@ -568,23 +459,13 @@ where
     F: FnMut(f64, &BorgEngine),
     R: Recorder + ?Sized,
 {
-    assert!(
-        config.processors >= 2,
-        "need a master and at least one worker"
-    );
-    let workers = (config.processors - 1) as usize;
+    let workers = worker_count(config);
     let plan = fault_plan_for(config, faults);
-    let mut hooks = FtBorgHooks::new(problem, config, borg, observer);
+    let mut hooks = BorgHooks::new(problem, config, borg, workers, observer);
     let (faulty, commands) =
         run_async_faulty_traced(&mut hooks, workers, config.max_nfe, &plan, policy, rec);
     (
-        VirtualRunResult {
-            outcome: faulty.outcome,
-            engine: hooks.engine,
-            ta_samples: hooks.ta_samples,
-            tf_samples: hooks.tf_samples,
-            fault_log: faulty.fault_log,
-        },
+        hooks.into_result(faulty.outcome, faulty.fault_log),
         commands,
     )
 }

@@ -14,7 +14,7 @@
 use borg_core::algorithm::BorgConfig;
 use borg_desim::fault::FaultConfig;
 use borg_models::dist::Dist;
-use borg_models::queueing::{run_async_faulty_traced, FaultTolerantHooks};
+use borg_models::queueing::{run_async_faulty_traced, MasterSlaveHooks};
 use borg_obs::NoopRecorder;
 use borg_parallel::prelude::*;
 use borg_parallel::virtual_exec::VirtualConfig;
@@ -33,7 +33,7 @@ struct ConstHooks {
     workers: usize,
 }
 
-impl FaultTolerantHooks for ConstHooks {
+impl MasterSlaveHooks for ConstHooks {
     fn produce(&mut self, _worker: usize, _eval_id: u64, _now: f64) -> f64 {
         if self.produced < self.workers {
             self.produced += 1;
