@@ -4,6 +4,8 @@
 //! per-evaluation wire overhead a networked deployment adds on top of
 //! the evaluation itself.
 
+#![allow(clippy::expect_used)]
+
 use borg_net::codec::{decode_complete, encode, Msg, TraceCtx};
 use borg_net::Conn;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};

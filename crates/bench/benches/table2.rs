@@ -4,6 +4,8 @@
 //! `cargo bench -p borg-bench --bench table2` writes the resulting rows to
 //! stdout so the bench run doubles as a miniature reproduction.
 
+#![allow(clippy::print_stdout)]
+
 use borg_experiments::suite::PaperProblem;
 use borg_experiments::table2::{render_table2, run_table2, Table2Config};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -571,11 +571,11 @@ impl EpsilonArchive {
                     self.solutions.swap_remove(slot);
                     self.boxes.swap_remove_row(slot);
                     self.objectives.swap_remove_row(slot);
+                    // The former tail member moved into `slot`; its key
+                    // is indexed by invariant (every member's is).
+                    #[allow(clippy::expect_used)]
                     if slot != last {
-                        // The former tail member moved into `slot`; its key
-                        // is indexed by invariant (every member's is).
                         let moved = self.index.get_mut(self.boxes.row(slot));
-                        // borg-lint: allow(BORG-L001)
                         *moved.expect("moved member's box key must be indexed") = slot;
                     }
                 }

@@ -70,3 +70,39 @@ pub mod prelude {
     pub use crate::rng::SplitMix64;
     pub use crate::solution::Solution;
 }
+
+/// Compile-time proof that clippy enforces the BORG-L rules configured for
+/// this crate (see the "Correctness & static analysis" section of README).
+/// Each function seeds one violation under `#[expect]`: if its lint stops
+/// firing (a misspelt `clippy.toml` path is silently ignored), the
+/// `-D warnings` clippy gate fails on the unfulfilled expectation.
+/// `cfg(clippy)` keeps this module out of every build but clippy's.
+#[cfg(clippy)]
+#[allow(dead_code)]
+mod lint_canary {
+    // BORG-L001 and BORG-L008. An `#[expect]` sets its lint's level itself,
+    // so the workspace lint table's levels are pinned by an xtask test.
+    #[expect(clippy::unwrap_used)]
+    fn unwrap(x: Option<u8>) -> u8 {
+        x.unwrap()
+    }
+
+    #[expect(clippy::expect_used)]
+    fn expect(x: Option<u8>) -> u8 {
+        x.expect("canary")
+    }
+
+    #[expect(clippy::print_stdout)]
+    fn print() {
+        println!("canary");
+    }
+
+    #[expect(clippy::print_stderr)]
+    fn eprint() {
+        eprintln!("canary");
+    }
+
+    // BORG-L004: `disallowed-types` in clippy.toml.
+    #[expect(clippy::disallowed_types)]
+    fn std_mutex(_: &std::sync::Mutex<u8>) {}
+}

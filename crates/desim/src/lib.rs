@@ -47,3 +47,24 @@ pub use fault::{FaultConfig, FaultLog, FaultPlan};
 pub use queue::{EventQueue, Time};
 pub use resource::Resource;
 pub use trace::{Activity, Actor, Span, SpanTrace};
+
+/// Compile-time proof that clippy enforces the BORG-L rules configured for
+/// this crate (see the "Correctness & static analysis" section of README).
+/// Each function seeds one violation under `#[expect]`: if its lint stops
+/// firing (a misspelt `clippy.toml` path is silently ignored), the
+/// `-D warnings` clippy gate fails on the unfulfilled expectation.
+/// `cfg(clippy)` keeps this module out of every build but clippy's.
+#[cfg(clippy)]
+#[allow(dead_code)]
+mod lint_canary {
+    // BORG-L004: `disallowed-types` in clippy.toml.
+    #[expect(clippy::disallowed_types)]
+    fn std_mutex(_: &std::sync::Mutex<u8>) {}
+
+    // BORG-L003: virtual time never reads the wall clock.
+    #[expect(clippy::disallowed_types)]
+    fn instant(_: std::time::Instant) {}
+
+    #[expect(clippy::disallowed_types)]
+    fn system_time(_: std::time::SystemTime) {}
+}

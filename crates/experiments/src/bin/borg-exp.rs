@@ -68,6 +68,14 @@
 //!   t_c_out / t_f / t_c_back decomposition on the master clock)
 //! ```
 
+// The CLI root: terminal output is its interface, and a failed run aborts.
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+
 use borg_core::algorithm::BorgConfig;
 use borg_core::problem::Problem;
 use borg_desim::fault::FaultConfig;

@@ -36,3 +36,23 @@ pub mod suite;
 pub mod table2;
 pub mod timeline;
 pub mod tracebundle;
+
+/// Compile-time proof that clippy enforces the BORG-L rules configured for
+/// this crate (see the "Correctness & static analysis" section of README).
+/// Each function seeds one violation under `#[expect]`: if its lint stops
+/// firing (a misspelt `clippy.toml` path is silently ignored), the
+/// `-D warnings` clippy gate fails on the unfulfilled expectation.
+/// `cfg(clippy)` keeps this module out of every build but clippy's.
+#[cfg(clippy)]
+#[allow(dead_code)]
+mod lint_canary {
+    // BORG-L004: `disallowed-types` in clippy.toml.
+    #[expect(clippy::disallowed_types)]
+    fn std_mutex(_: &std::sync::Mutex<u8>) {}
+
+    // BORG-L009: `disallowed-methods`; sweeps fan out through borg-runner.
+    #[expect(clippy::disallowed_methods)]
+    fn raw_spawn() {
+        drop(std::thread::spawn(|| ()));
+    }
+}

@@ -6,7 +6,8 @@
 //! job panic on the calling thread, matching what the old serial nested
 //! loops did when a replicate panicked.
 //!
-//! Direct `std::thread::spawn` is forbidden in this crate (lint BORG-L009):
+//! Direct `std::thread::spawn` is forbidden in this crate (BORG-L009, a
+//! clippy `disallowed-methods` entry in the crate's `clippy.toml`):
 //! ad-hoc threads have no index-ordered collection story, so results would
 //! depend on scheduling. All parallelism goes through here.
 

@@ -1,6 +1,8 @@
 //! End-to-end tests of the `borg-exp` binary at smoke scale: every
 //! subcommand must run, exit 0, and leave its CSV artifacts behind.
 
+#![allow(clippy::expect_used)]
+
 use std::path::{Path, PathBuf};
 use std::process::Command;
 

@@ -4,6 +4,7 @@
 //! the surviving worker.
 
 #![cfg(unix)]
+#![allow(clippy::expect_used)]
 
 use std::io::Read;
 use std::process::{Child, Command, Stdio};

@@ -2,6 +2,8 @@
 //! sockets against real workers and raw clients that misbehave on
 //! purpose (drop their socket mid-evaluation, go silent, all vanish).
 
+#![allow(clippy::expect_used)]
+
 use borg_core::algorithm::{BorgConfig, BorgEngine};
 use borg_core::problem::Problem;
 use borg_core::rng::SplitMix64;

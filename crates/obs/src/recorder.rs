@@ -231,7 +231,7 @@ struct Store {
 /// taking the data from a poisoned lock — all stored state is valid at
 /// every instruction boundary).
 pub struct InMemoryRecorder {
-    // borg-lint: allow(BORG-L004)
+    #[allow(clippy::disallowed_types)]
     inner: std::sync::Mutex<Store>,
     span_limit: usize,
 }
@@ -260,7 +260,7 @@ impl InMemoryRecorder {
     /// the duration histograms and are counted as dropped.
     pub fn with_span_limit(limit: usize) -> Self {
         InMemoryRecorder {
-            // borg-lint: allow(BORG-L004)
+            #[allow(clippy::disallowed_types)]
             inner: std::sync::Mutex::new(Store::default()),
             span_limit: limit,
         }

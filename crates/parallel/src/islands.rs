@@ -187,7 +187,7 @@ pub fn run_islands<P: Problem + ?Sized>(
         // A completion event for an empty slot can only mean a scheduling
         // bug in this event loop itself; panicking immediately (rather than
         // propagating) is the correct response to a corrupted simulation.
-        // borg-lint: allow(BORG-L001)
+        #[allow(clippy::expect_used)]
         let (cand, o, c) = islands[i].pending[w].take().expect("missing result");
         let t0 = Instant::now();
         let sol = islands[i].engine.make_solution(cand, o, c);

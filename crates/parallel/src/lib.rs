@@ -45,7 +45,6 @@
 #![forbid(unsafe_code)]
 
 pub mod delayed;
-pub mod handshake_model;
 pub mod islands;
 pub mod sync_nsga2;
 pub mod threads;
@@ -65,4 +64,24 @@ pub mod prelude {
         run_virtual_async_faulty_traced, run_virtual_serial, run_virtual_sync, TaMode,
         VirtualConfig, VirtualRunResult,
     };
+}
+
+/// Compile-time proof that clippy enforces the BORG-L rules configured for
+/// this crate (see the "Correctness & static analysis" section of README).
+/// Each function seeds one violation under `#[expect]`: if its lint stops
+/// firing (a misspelt `clippy.toml` path is silently ignored), the
+/// `-D warnings` clippy gate fails on the unfulfilled expectation.
+/// `cfg(clippy)` keeps this module out of every build but clippy's.
+#[cfg(clippy)]
+#[allow(dead_code)]
+mod lint_canary {
+    // BORG-L004: `disallowed-types` in clippy.toml.
+    #[expect(clippy::disallowed_types)]
+    fn std_mutex(_: &std::sync::Mutex<u8>) {}
+
+    // BORG-L006: `disallowed-methods`; executor waits are bounded.
+    #[expect(clippy::disallowed_methods)]
+    fn unbounded_recv(rx: &crossbeam::channel::Receiver<u8>) -> Option<u8> {
+        rx.recv().ok()
+    }
 }

@@ -460,7 +460,7 @@ fn run_threaded_inner<P: Problem + ?Sized, R: Recorder + Sync + ?Sized>(
                 let mut seq = 0u64;
                 // Worker-side blocking receive is safe: the master drops
                 // `work_tx` on every exit path, ending this loop.
-                // borg-lint: allow(BORG-L006)
+                #[allow(clippy::disallowed_methods)]
                 while let Ok(item) = work_rx.recv() {
                     let fate = plan
                         .map(|p| p.dispatch_fate(w, seq))
@@ -496,7 +496,7 @@ fn run_threaded_inner<P: Problem + ?Sized, R: Recorder + Sync + ?Sized>(
                             // without ever responding — a true hang from
                             // the master's point of view, but one the
                             // thread join can still collect.
-                            // borg-lint: allow(BORG-L006)
+                            #[allow(clippy::disallowed_methods)]
                             let _ = stop_rx.recv();
                             return;
                         }
@@ -739,7 +739,7 @@ pub fn estimate_comm_time(rounds: u32) -> Result<f64, ThreadedError> {
         scope.spawn(move || {
             // Echo side: blocking receive is safe — the measuring side
             // drops `ping_tx` on every path, ending this loop.
-            // borg-lint: allow(BORG-L006)
+            #[allow(clippy::disallowed_methods)]
             while ping_rx.recv().is_ok() {
                 if pong_tx.send(()).is_err() {
                     break;

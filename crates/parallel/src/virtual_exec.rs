@@ -268,9 +268,10 @@ impl<'p, P: Problem + ?Sized, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for B
         // The queueing engine consumes each evaluation id exactly once,
         // after its produce (duplicates are suppressed upstream); a
         // missing entry means the simulation itself is corrupted.
+        #[allow(clippy::expect_used)]
         let (candidate, objs, cons) = self
             .pending
-            .remove(&eval_id) // borg-lint: allow(BORG-L001)
+            .remove(&eval_id)
             .expect("consume without a pending result");
         let start = Instant::now();
         let solution: Solution = self.engine.make_solution(candidate, objs, cons);

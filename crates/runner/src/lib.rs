@@ -40,8 +40,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod steal_model;
-
 use crossbeam::channel;
 use parking_lot::Mutex;
 use std::collections::VecDeque;

@@ -33,7 +33,7 @@ pub struct Token {
 /// A `// borg-lint: allow(RULE, ...)` directive found in a comment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowDirective {
-    /// Rule ids named in the directive, e.g. `BORG-L001`.
+    /// Rule ids named in the directive, e.g. `BORG-L005`.
     pub rules: Vec<String>,
     /// Line the comment appears on (1-based).
     pub line: u32,
@@ -302,7 +302,7 @@ pub fn lex(source: &str) -> LexedFile {
     out
 }
 
-/// Recognizes `// borg-lint: allow(BORG-L001, BORG-L002)` comments.
+/// Recognizes `// borg-lint: allow(BORG-L005, BORG-L010)` comments.
 fn parse_allow_directive(comment: &str, line: u32) -> Option<AllowDirective> {
     let body = comment.trim_start_matches('/').trim();
     let rest = body.strip_prefix("borg-lint:")?.trim();
@@ -534,10 +534,10 @@ mod tests {
 
     #[test]
     fn allow_directives_are_captured() {
-        let lexed = lex("x(); // borg-lint: allow(BORG-L001, BORG-L003)\ny();");
+        let lexed = lex("x(); // borg-lint: allow(BORG-L005, BORG-L010)\ny();");
         assert_eq!(lexed.allows.len(), 1);
         assert_eq!(lexed.allows[0].line, 1);
-        assert_eq!(lexed.allows[0].rules, ["BORG-L001", "BORG-L003"]);
+        assert_eq!(lexed.allows[0].rules, ["BORG-L005", "BORG-L010"]);
     }
 
     #[test]
@@ -620,7 +620,7 @@ mod tests {
     #[test]
     fn non_directive_comments_are_ignored() {
         assert!(lex("// borg-lint: allow()").allows.is_empty());
-        assert!(lex("// just a note about allow(BORG-L001)")
+        assert!(lex("// just a note about allow(BORG-L005)")
             .allows
             .is_empty());
     }

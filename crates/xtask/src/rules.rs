@@ -1,47 +1,24 @@
 //! The BORG-Lxxx rule engine.
 //!
-//! Fifteen workspace-specific correctness rules run over the token stream
+//! Nine workspace-specific correctness rules run over the token stream
 //! from [`crate::lexer`] and the brace-matched item tree from
-//! [`crate::itemtree`]:
+//! [`crate::itemtree`]. They are the rules clippy cannot express; the ids
+//! missing from the sequence are enforced by clippy (see the end of this
+//! doc).
 //!
-//! * **BORG-L001** — no `.unwrap()` / `.expect()` in library code outside
-//!   `#[cfg(test)]` / `#[test]` regions. Library failures must surface as
-//!   `Result`/`Option` so the engine can report structured errors.
 //! * **BORG-L002** — no entropy-seeded randomness (`thread_rng`,
 //!   `rand::random`, `from_entropy`, `OsRng`) anywhere. All randomness flows
 //!   through the seeded `SplitMix64` / `StdRng` plumbing in `borg-core::rng`
 //!   so every run is reproducible from its seed.
-//! * **BORG-L003** — no wall-clock types (`Instant`, `SystemTime`) inside
-//!   the discrete-event simulator (`crates/desim`) or the performance model
-//!   (`crates/models/src/perfsim*`). Those components operate on virtual
-//!   time; wall-clock reads would make simulated schedules nondeterministic.
-//! * **BORG-L004** — no `std::sync::Mutex`; `parking_lot` is the workspace
-//!   standard (no poisoning, smaller guards).
 //! * **BORG-L005** — no direct `==` / `!=` involving objective values.
 //!   Objective comparisons must go through the dominance / epsilon-box
 //!   predicates, not raw f64 equality.
-//! * **BORG-L006** — no unbounded `.recv()` in the executor crate
-//!   (`crates/parallel`) outside test regions. A master loop blocked on a
-//!   plain `recv()` deadlocks when a worker crashes or hangs; every wait
-//!   must be a `recv_timeout` / `try_recv` so the fault-recovery deadline
-//!   sweep keeps running. Deliberate unbounded waits (e.g. a hung-worker
-//!   park released by channel disconnect) carry an allowlist comment.
 //! * **BORG-L007** — no direct construction of protocol recovery state
 //!   (deadline maps, in-flight tables, seen-eval-id sets, reissue queues)
 //!   in executor library code (`crates/models`, `crates/parallel`). That
 //!   bookkeeping lives in `borg_protocol::MasterEngine`; a local copy in an
 //!   executor re-creates the triplicated reissue/suppression logic the
 //!   protocol crate exists to centralise.
-//! * **BORG-L008** — no `println!` / `eprintln!` (or `print!` / `eprint!`)
-//!   in library code outside test regions. Libraries report through the
-//!   `borg_obs::Recorder` facade or return renderable values; terminal
-//!   output belongs to bin code, the xtask console tool, and the borg-obs
-//!   exporters (both carved out).
-//! * **BORG-L009** — no direct `std::thread::spawn` in the experiments
-//!   crate (`crates/experiments`) outside test regions. Experiment sweeps
-//!   fan out through `borg-runner` (`crate::par::run_jobs`), whose
-//!   index-ordered collection is what keeps parallel sweeps bit-identical
-//!   to serial ones; a raw spawned thread bypasses that contract.
 //! * **BORG-L010** — no iteration over `HashMap` / `HashSet` bindings in
 //!   result-affecting library code. Hash iteration order varies with the
 //!   hasher seed and insertion history; anything folded out of it (sums
@@ -69,7 +46,7 @@
 //!   stream escapes, and `set_read_timeout(None)` never removes one — an
 //!   unguarded read blocks forever when the peer hangs, which is exactly
 //!   the fault the chaos proxy injects. Extends BORG-L006's
-//!   no-unbounded-wait contract to the wire.
+//!   no-unbounded-wait contract (clippy, below) to the wire.
 //! * **BORG-L014** — metric names fed to the `borg_obs::Recorder` hooks
 //!   (`.counter(..)`, `.gauge(..)`, `.observe(..)`, `.flight(..)`) in
 //!   library code must be `'static` lowercase dotted literals (or
@@ -90,6 +67,26 @@
 //! A violation is suppressed by a `// borg-lint: allow(BORG-Lxxx)` comment
 //! on the same line or the line directly above — or, item-wide, by one on
 //! the item's header (or the line above it), which covers the whole item.
+//! A directive naming an id that is not in [`RULES`] is itself reported
+//! (as [`UNKNOWN_ALLOW`]), so an escape cannot outlive its rule.
+//!
+//! Six rules moved to clippy, configured by the `[workspace.lints.clippy]`
+//! table in the root `Cargo.toml` and the `clippy.toml` files. A
+//! `#[cfg(clippy)]` canary module in each crate they scope proves each
+//! lint fires, and a unit test below pins the table's levels:
+//! BORG-L001 (`unwrap_used`, `expect_used`), BORG-L003 (`disallowed_types`
+//! `std::time::{Instant, SystemTime}` in `borg-desim` and `borg-models`),
+//! BORG-L004 (`disallowed_types` `std::sync::Mutex`), BORG-L006
+//! (`disallowed_methods` crossbeam `Receiver::recv` in `borg-parallel`),
+//! BORG-L008 (`print_stdout`, `print_stderr`) and BORG-L009
+//! (`disallowed_methods` `std::thread::spawn` in `borg-experiments`).
+//! Two rules that look like clippy's stay here:
+//!
+//! * BORG-L002, because the vendored `rand` defines none of the entropy
+//!   sources it bans, and clippy accepts a `disallowed-methods` path that
+//!   resolves to nothing without a word.
+//! * BORG-L010, because `clippy::iter_over_hash_type` flags `for` loops
+//!   only; `m.keys().sum()` passes it.
 
 use crate::files::{discover, FileClass, SourceFile};
 use crate::itemtree::{self, Item, ItemKind};
@@ -104,45 +101,19 @@ pub struct Rule {
 }
 
 /// All rules, in id order.
-pub const RULES: [Rule; 15] = [
-    Rule {
-        id: "BORG-L001",
-        summary: "no unwrap()/expect() in library code outside test regions",
-    },
+pub const RULES: [Rule; 9] = [
     Rule {
         id: "BORG-L002",
         summary: "no entropy-seeded RNG; randomness must flow through seeded borg-core::rng",
-    },
-    Rule {
-        id: "BORG-L003",
-        summary: "no wall-clock (Instant/SystemTime) in borg-desim or the perfsim model",
-    },
-    Rule {
-        id: "BORG-L004",
-        summary: "no std::sync::Mutex; parking_lot is the workspace standard",
     },
     Rule {
         id: "BORG-L005",
         summary: "no direct f64 ==/!= on objective values; use dominance/epsilon predicates",
     },
     Rule {
-        id: "BORG-L006",
-        summary: "no unbounded .recv() in executor library code; use recv_timeout/try_recv",
-    },
-    Rule {
         id: "BORG-L007",
         summary: "no executor-local recovery state (deadline maps, seen-id sets); \
                   use borg_protocol::MasterEngine",
-    },
-    Rule {
-        id: "BORG-L008",
-        summary: "no println!/eprintln! in library code; report through borg_obs::Recorder \
-                  or return renderable values",
-    },
-    Rule {
-        id: "BORG-L009",
-        summary: "no std::thread::spawn in crates/experiments; fan sweeps out through \
-                  borg-runner (crate::par::run_jobs)",
     },
     Rule {
         id: "BORG-L010",
@@ -177,6 +148,10 @@ pub const RULES: [Rule; 15] = [
     },
 ];
 
+/// The id reported for a `// borg-lint: allow(..)` directive that names a
+/// rule not in [`RULES`]. It is not a rule itself and cannot be allowed.
+const UNKNOWN_ALLOW: &str = "BORG-L000";
+
 /// One reported lint violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
@@ -196,15 +171,9 @@ pub fn check_source(rel_path: &str, class: FileClass, source: &str) -> Vec<Viola
     let in_test = |line: u32| regions.iter().any(|&(a, b)| a <= line && line <= b);
 
     let mut found = Vec::new();
-    rule_l001(rel_path, class, &lexed.tokens, &in_test, &mut found);
     rule_l002(rel_path, &lexed.tokens, &mut found);
-    rule_l003(rel_path, &lexed.tokens, &mut found);
-    rule_l004(rel_path, &lexed.tokens, &mut found);
     rule_l005(rel_path, class, &lexed.tokens, &in_test, &mut found);
-    rule_l006(rel_path, class, &lexed.tokens, &in_test, &mut found);
     rule_l007(rel_path, class, &lexed.tokens, &in_test, &mut found);
-    rule_l008(rel_path, class, &lexed.tokens, &in_test, &mut found);
-    rule_l009(rel_path, class, &lexed.tokens, &in_test, &mut found);
     rule_l010(rel_path, class, &lexed.tokens, &in_test, &mut found);
     rule_l011(rel_path, class, &lexed, &in_test, &mut found);
     rule_l012(rel_path, class, &lexed.tokens, &items, &in_test, &mut found);
@@ -221,6 +190,22 @@ pub fn check_source(rel_path: &str, class: FileClass, source: &str) -> Vec<Viola
             .any(|(rule, a, b)| *rule == v.rule && *a <= v.line && v.line <= *b);
         !(allowed_at(v.line) || (v.line > 1 && allowed_at(v.line - 1)) || item_allowed)
     });
+    for allow in &lexed.allows {
+        for rule in &allow.rules {
+            if !RULES.iter().any(|r| r.id == rule) {
+                found.push(Violation {
+                    rule: UNKNOWN_ALLOW,
+                    file: rel_path.to_string(),
+                    line: allow.line,
+                    message: format!(
+                        "`borg-lint: allow({rule})` names no rule in `cargo xtask check --list`; \
+                         delete the stale escape (rules clippy enforces take \
+                         `#[allow(clippy::..)]`)"
+                    ),
+                });
+            }
+        }
+    }
     found.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     found
 }
@@ -398,38 +383,6 @@ fn item_end_line(tokens: &[Token], mut i: usize) -> Option<u32> {
 // Rules
 // ---------------------------------------------------------------------------
 
-fn rule_l001(
-    rel_path: &str,
-    class: FileClass,
-    tokens: &[Token],
-    in_test: &dyn Fn(u32) -> bool,
-    out: &mut Vec<Violation>,
-) {
-    if class != FileClass::Library {
-        return;
-    }
-    for i in 1..tokens.len() {
-        let t = &tokens[i];
-        if t.kind == TokenKind::Ident
-            && (t.text == "unwrap" || t.text == "expect")
-            && is_punct(tokens, i - 1, ".")
-            && is_punct(tokens, i + 1, "(")
-            && !in_test(t.line)
-        {
-            out.push(Violation {
-                rule: "BORG-L001",
-                file: rel_path.to_string(),
-                line: t.line,
-                message: format!(
-                    "`.{}()` in library code; propagate the error (or move the call into a \
-                     test region)",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
 fn rule_l002(rel_path: &str, tokens: &[Token], out: &mut Vec<Violation>) {
     for i in 0..tokens.len() {
         let t = &tokens[i];
@@ -463,75 +416,6 @@ fn rule_l002(rel_path: &str, tokens: &[Token], out: &mut Vec<Violation>) {
 /// Whether the token at `i` is the tail of a `rand::` path (`rand :: random`).
 fn path_head_is(tokens: &[Token], i: usize, head: &str) -> bool {
     i >= 2 && is_punct(tokens, i - 1, "::") && is_ident(tokens, i - 2, head)
-}
-
-fn rule_l003(rel_path: &str, tokens: &[Token], out: &mut Vec<Violation>) {
-    let virtual_time_scope = rel_path.starts_with("crates/desim/src/")
-        || rel_path.starts_with("crates/models/src/perfsim");
-    if !virtual_time_scope {
-        return;
-    }
-    for t in tokens {
-        if t.kind == TokenKind::Ident && (t.text == "Instant" || t.text == "SystemTime") {
-            out.push(Violation {
-                rule: "BORG-L003",
-                file: rel_path.to_string(),
-                line: t.line,
-                message: format!(
-                    "`{}` is wall-clock time inside a virtual-time component; use simulated \
-                     clocks (desim event time) instead",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
-fn rule_l004(rel_path: &str, tokens: &[Token], out: &mut Vec<Violation>) {
-    let mut i = 0;
-    while i + 4 < tokens.len() {
-        if is_ident(tokens, i, "std")
-            && is_punct(tokens, i + 1, "::")
-            && is_ident(tokens, i + 2, "sync")
-            && is_punct(tokens, i + 3, "::")
-        {
-            let after = i + 4;
-            if is_ident(tokens, after, "Mutex") {
-                push_l004(rel_path, tokens[after].line, out);
-            } else if is_punct(tokens, after, "{") {
-                // `use std::sync::{Arc, Mutex};` — scan the brace group.
-                let mut depth = 0usize;
-                let mut j = after;
-                while j < tokens.len() {
-                    match tokens[j].text.as_str() {
-                        "{" => depth += 1,
-                        "}" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        "Mutex" if tokens[j].kind == TokenKind::Ident => {
-                            push_l004(rel_path, tokens[j].line, out);
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-            }
-        }
-        i += 1;
-    }
-}
-
-fn push_l004(rel_path: &str, line: u32, out: &mut Vec<Violation>) {
-    out.push(Violation {
-        rule: "BORG-L004",
-        file: rel_path.to_string(),
-        line,
-        message: "`std::sync::Mutex` is forbidden; use `parking_lot::Mutex` (workspace standard)"
-            .to_string(),
-    });
 }
 
 /// Tokens that bound the L005 search window: an `==` on one side of these
@@ -594,43 +478,6 @@ fn window_has_objectives(tokens: &[Token], i: usize, backward: bool) -> bool {
     false
 }
 
-fn rule_l006(
-    rel_path: &str,
-    class: FileClass,
-    tokens: &[Token],
-    in_test: &dyn Fn(u32) -> bool,
-    out: &mut Vec<Violation>,
-) {
-    // Scope: the executor crate's library sources (where a blocked master
-    // loop means a deadlocked run), plus the self-test fixture.
-    let executor_scope =
-        rel_path.starts_with("crates/parallel/src/") || rel_path == FIXTURE_SCAN_PATH;
-    if !executor_scope || class != FileClass::Library {
-        return;
-    }
-    for i in 1..tokens.len() {
-        let t = &tokens[i];
-        // `.recv(` exactly — `recv_timeout` / `try_recv` are different
-        // identifiers and stay silent.
-        if t.kind == TokenKind::Ident
-            && t.text == "recv"
-            && is_punct(tokens, i - 1, ".")
-            && is_punct(tokens, i + 1, "(")
-            && !in_test(t.line)
-        {
-            out.push(Violation {
-                rule: "BORG-L006",
-                file: rel_path.to_string(),
-                line: t.line,
-                message: "unbounded `.recv()` in executor code can deadlock on a crashed or \
-                          hung worker; use `recv_timeout`/`try_recv` (or allowlist a deliberate \
-                          disconnect-released park)"
-                    .to_string(),
-            });
-        }
-    }
-}
-
 /// Identifiers that name protocol recovery state. A declaration binding one
 /// of these to a collection type outside `borg-protocol` is an executor
 /// growing its own reissue/suppression bookkeeping.
@@ -667,7 +514,7 @@ fn rule_l007(
     // deliberately stays out of scope — it is where this state belongs.
     let executor_scope = rel_path.starts_with("crates/models/src/")
         || rel_path.starts_with("crates/parallel/src/")
-        || rel_path == FIXTURE_SCAN_PATH;
+        || rel_path == FIXTURE_PATH;
     if !executor_scope || class != FileClass::Library {
         return;
     }
@@ -711,85 +558,6 @@ fn l007_state_name_behind(tokens: &[Token], i: usize) -> Option<String> {
     None
 }
 
-/// Print macros caught by L008. `write!`/`writeln!` to a caller-supplied
-/// sink stay legal — the rule targets ambient stdout/stderr only.
-const L008_PRINT_MACROS: &[&str] = &["println", "eprintln", "print", "eprint"];
-
-fn rule_l008(
-    rel_path: &str,
-    class: FileClass,
-    tokens: &[Token],
-    in_test: &dyn Fn(u32) -> bool,
-    out: &mut Vec<Violation>,
-) {
-    // Carve-outs: the xtask console tool (its whole interface is terminal
-    // output) and the borg-obs exporters (the designated rendering sink).
-    let exempt =
-        rel_path.starts_with("crates/xtask/src/") || rel_path.starts_with("crates/obs/src/export");
-    if class != FileClass::Library || exempt {
-        return;
-    }
-    for i in 0..tokens.len() {
-        let t = &tokens[i];
-        if t.kind == TokenKind::Ident
-            && L008_PRINT_MACROS.contains(&t.text.as_str())
-            && is_punct(tokens, i + 1, "!")
-            && !in_test(t.line)
-        {
-            out.push(Violation {
-                rule: "BORG-L008",
-                file: rel_path.to_string(),
-                line: t.line,
-                message: format!(
-                    "`{}!` writes to the terminal from library code; record through \
-                     borg_obs::Recorder or return a renderable value (terminal output \
-                     belongs to bin code)",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
-fn rule_l009(
-    rel_path: &str,
-    class: FileClass,
-    tokens: &[Token],
-    in_test: &dyn Fn(u32) -> bool,
-    out: &mut Vec<Violation>,
-) {
-    // Scope: the experiments crate (library and bin sources — the sweep
-    // drivers and the CLI both belong to the deterministic-runner
-    // contract), plus the self-test fixture.
-    let experiments_scope =
-        rel_path.starts_with("crates/experiments/src/") || rel_path == FIXTURE_SCAN_PATH;
-    if !experiments_scope || class == FileClass::TestOrBench {
-        return;
-    }
-    for i in 2..tokens.len() {
-        let t = &tokens[i];
-        // `thread::spawn` exactly (covers `std::thread::spawn` too);
-        // `scope.spawn` — a structured pool handle — is preceded by `.`
-        // and stays silent.
-        if t.kind == TokenKind::Ident
-            && t.text == "spawn"
-            && is_punct(tokens, i - 1, "::")
-            && is_ident(tokens, i - 2, "thread")
-            && !in_test(t.line)
-        {
-            out.push(Violation {
-                rule: "BORG-L009",
-                file: rel_path.to_string(),
-                line: t.line,
-                message: "`std::thread::spawn` in the experiments crate bypasses the \
-                          deterministic work-stealing runner; fan the sweep out through \
-                          `crate::par::run_jobs` (borg-runner) instead"
-                    .to_string(),
-            });
-        }
-    }
-}
-
 /// Crates whose library code feeds archives, metrics, or experiment
 /// results — where hash-order iteration can leak into a reported value
 /// and break the same-seed determinism gate.
@@ -830,8 +598,7 @@ fn rule_l010(
     in_test: &dyn Fn(u32) -> bool,
     out: &mut Vec<Violation>,
 ) {
-    let in_scope =
-        L010_SCOPE.iter().any(|p| rel_path.starts_with(p)) || rel_path == FIXTURE_SCAN_PATH;
+    let in_scope = L010_SCOPE.iter().any(|p| rel_path.starts_with(p)) || rel_path == FIXTURE_PATH;
     if !in_scope || class != FileClass::Library {
         return;
     }
@@ -959,8 +726,7 @@ fn rule_l012(
 ) {
     // Scope: the protocol crate's library sources (the engine is driven by
     // adversarial schedules — see crates/mc), plus the self-test fixture.
-    let protocol_scope =
-        rel_path.starts_with("crates/protocol/src/") || rel_path == FIXTURE_SCAN_PATH;
+    let protocol_scope = rel_path.starts_with("crates/protocol/src/") || rel_path == FIXTURE_PATH;
     if !protocol_scope || class != FileClass::Library {
         return;
     }
@@ -1044,7 +810,7 @@ fn rule_l013(
     out: &mut Vec<Violation>,
 ) {
     // Scope: the wire transport crate's library sources, plus the fixture.
-    let net_scope = rel_path.starts_with("crates/net/src/") || rel_path == FIXTURE_SCAN_PATH;
+    let net_scope = rel_path.starts_with("crates/net/src/") || rel_path == FIXTURE_PATH;
     if !net_scope || class != FileClass::Library {
         return;
     }
@@ -1244,7 +1010,7 @@ fn rule_l015(
     out: &mut Vec<Violation>,
 ) {
     // Scope: algorithm-core library code (plus the fixture).
-    let core_scope = rel_path.starts_with("crates/core/src/") || rel_path == FIXTURE_SCAN_PATH;
+    let core_scope = rel_path.starts_with("crates/core/src/") || rel_path == FIXTURE_PATH;
     if class != FileClass::Library || !core_scope || lexed.hot_paths.is_empty() {
         return;
     }
@@ -1327,10 +1093,9 @@ fn is_ident(tokens: &[Token], i: usize, text: &str) -> bool {
 // Self-test against the annotated fixture
 // ---------------------------------------------------------------------------
 
-/// Path (workspace-relative) the fixture is checked under. The spoofed
-/// `crates/desim/src/` prefix puts BORG-L003 in scope so one fixture file
-/// can exercise every rule.
-pub const FIXTURE_SCAN_PATH: &str = "crates/desim/src/__lint_fixture__.rs";
+/// Workspace-relative path of the annotated fixture. Every path-scoped rule
+/// also accepts this path, so one fixture file exercises every rule.
+pub const FIXTURE_PATH: &str = "crates/xtask/fixtures/violations.rs";
 
 /// Runs the lint pass over the annotated fixture and diffs the reported
 /// violations against the `//~ BORG-Lxxx` expectations embedded in it.
@@ -1347,11 +1112,10 @@ pub fn self_test(fixture: &Path) -> Result<usize, String> {
             fixture.display()
         ));
     }
-    let found: BTreeSet<(u32, String)> =
-        check_source(FIXTURE_SCAN_PATH, FileClass::Library, &source)
-            .into_iter()
-            .map(|v| (v.line, v.rule.to_string()))
-            .collect();
+    let found: BTreeSet<(u32, String)> = check_source(FIXTURE_PATH, FileClass::Library, &source)
+        .into_iter()
+        .map(|v| (v.line, v.rule.to_string()))
+        .collect();
 
     let missing: Vec<_> = expected.difference(&found).collect();
     let unexpected: Vec<_> = found.difference(&expected).collect();
@@ -1371,14 +1135,17 @@ pub fn self_test(fixture: &Path) -> Result<usize, String> {
 }
 
 /// Parses `//~ BORG-Lxxx [BORG-Lyyy ...]` markers; each names a violation
-/// expected on its own line.
+/// expected on its own line, or with `//~^` (one `^` per line, as in
+/// rustc's UI tests) on a line above, for lines that cannot end in a marker.
 fn parse_expectations(source: &str) -> BTreeSet<(u32, String)> {
     let mut expected = BTreeSet::new();
     for (idx, text) in source.lines().enumerate() {
-        let line = idx as u32 + 1;
         if let Some(pos) = text.find("//~") {
-            for word in text[pos + 3..].split_whitespace() {
-                let exact_rule_id = word.len() == "BORG-L001".len()
+            let marker = &text[pos + 3..];
+            let rest = marker.trim_start_matches('^');
+            let line = (idx + 1).saturating_sub(marker.len() - rest.len()) as u32;
+            for word in rest.split_whitespace() {
+                let exact_rule_id = word.len() == UNKNOWN_ALLOW.len()
                     && word.starts_with("BORG-L")
                     && word["BORG-L".len()..].chars().all(|c| c.is_ascii_digit());
                 if exact_rule_id {
@@ -1403,45 +1170,23 @@ mod tests {
     }
 
     #[test]
-    fn l001_flags_unwrap_and_expect_in_library_code() {
-        let v = check_lib("fn f() { x.unwrap(); }\nfn g() { y.expect(\"msg\"); }");
-        assert_eq!(rules_at(&v), [("BORG-L001", 1), ("BORG-L001", 2)]);
-    }
-
-    #[test]
-    fn l001_ignores_unwrap_or_and_bins_and_tests() {
-        assert!(check_lib("fn f() { x.unwrap_or(0); }").is_empty());
-        let bin = check_source(
-            "crates/experiments/src/bin/borg-exp.rs",
-            FileClass::Bin,
-            "fn main() { x.unwrap(); }",
-        );
-        assert!(bin.is_empty());
-        let tst = check_source(
-            "tests/e2e.rs",
-            FileClass::TestOrBench,
-            "fn f() { x.unwrap(); }",
-        );
-        assert!(tst.is_empty());
-    }
-
-    #[test]
-    fn l001_exempts_cfg_test_modules_and_test_fns() {
+    fn cfg_test_modules_and_test_fns_are_test_regions() {
         let src = "fn lib() -> u32 { 1 }\n\
                    #[cfg(test)]\n\
                    mod tests {\n\
                        #[test]\n\
-                       fn t() { x.unwrap(); }\n\
+                       fn t() { assert!(s.objectives()[0] == 1.0); }\n\
                    }\n";
         assert!(check_lib(src).is_empty());
-        let src2 = "#[test]\nfn t() { x.unwrap(); }\nfn lib() { y.unwrap(); }";
-        assert_eq!(rules_at(&check_lib(src2)), [("BORG-L001", 3)]);
+        let src2 = "#[test]\nfn t() { s.objectives()[0] == 1.0; }\n\
+                    fn lib() { s.objectives()[0] == 1.0; }";
+        assert_eq!(rules_at(&check_lib(src2)), [("BORG-L005", 3)]);
     }
 
     #[test]
     fn cfg_not_test_is_not_a_test_region() {
-        let src = "#[cfg(not(test))]\nfn lib() { x.unwrap(); }";
-        assert_eq!(rules_at(&check_lib(src)), [("BORG-L001", 2)]);
+        let src = "#[cfg(not(test))]\nfn lib() { s.objectives()[0] == 1.0; }";
+        assert_eq!(rules_at(&check_lib(src)), [("BORG-L005", 2)]);
     }
 
     #[test]
@@ -1453,25 +1198,6 @@ mod tests {
     }
 
     #[test]
-    fn l003_only_applies_to_virtual_time_components() {
-        let src = "use std::time::Instant;";
-        assert!(check_lib(src).is_empty());
-        let v = check_source("crates/desim/src/sim.rs", FileClass::Library, src);
-        assert_eq!(rules_at(&v), [("BORG-L003", 1)]);
-        let v = check_source("crates/models/src/perfsim.rs", FileClass::Library, src);
-        assert_eq!(rules_at(&v), [("BORG-L003", 1)]);
-    }
-
-    #[test]
-    fn l004_flags_std_mutex_including_brace_imports() {
-        let v = check_lib("use std::sync::Mutex;");
-        assert_eq!(rules_at(&v), [("BORG-L004", 1)]);
-        let v = check_lib("use std::sync::{Arc,\n    Mutex};");
-        assert_eq!(rules_at(&v), [("BORG-L004", 2)]);
-        assert!(check_lib("use std::sync::Arc;\nuse parking_lot::Mutex;").is_empty());
-    }
-
-    #[test]
     fn l005_flags_objective_equality_both_directions() {
         let v = check_lib("if a.objectives()[0] == b { }\nif c != d.objectives()[1] { }");
         assert_eq!(rules_at(&v), [("BORG-L005", 1), ("BORG-L005", 2)]);
@@ -1480,35 +1206,6 @@ mod tests {
         // Tests may compare exact values they constructed.
         let src = "#[cfg(test)]\nmod tests {\n fn t() { assert!(s.objectives()[0] == 1.0); }\n}";
         assert!(check_lib(src).is_empty());
-    }
-
-    #[test]
-    fn l006_flags_unbounded_recv_only_in_executor_library_code() {
-        let src = "fn master() { let item = result_rx.recv(); }";
-        // Out of scope: a non-executor crate.
-        assert!(check_lib(src).is_empty());
-        // In scope: crates/parallel library sources.
-        let v = check_source("crates/parallel/src/threads.rs", FileClass::Library, src);
-        assert_eq!(rules_at(&v), [("BORG-L006", 1)]);
-        // Bounded waits are fine.
-        let bounded = "fn master() { let a = rx.recv_timeout(t); let b = rx.try_recv(); }";
-        assert!(check_source(
-            "crates/parallel/src/threads.rs",
-            FileClass::Library,
-            bounded
-        )
-        .is_empty());
-        // Test regions are exempt (a test may block on a known-finite send).
-        let tst = "#[cfg(test)]\nmod tests {\n fn t() { rx.recv(); }\n}";
-        assert!(check_source("crates/parallel/src/threads.rs", FileClass::Library, tst).is_empty());
-        // The allowlist escape works for deliberate parks.
-        let allowed = "fn park() { let _ = stop_rx.recv(); } // borg-lint: allow(BORG-L006)";
-        assert!(check_source(
-            "crates/parallel/src/threads.rs",
-            FileClass::Library,
-            allowed
-        )
-        .is_empty());
     }
 
     #[test]
@@ -1550,87 +1247,18 @@ mod tests {
     }
 
     #[test]
-    fn l008_flags_print_macros_in_library_code() {
-        let v = check_lib("fn f() { println!(\"x = {x}\"); }\nfn g() { eprintln!(\"oops\"); }");
-        assert_eq!(rules_at(&v), [("BORG-L008", 1), ("BORG-L008", 2)]);
-        // `writeln!` to a caller-supplied sink is fine, as is a plain
-        // identifier named `println` without the macro bang.
-        assert!(check_lib("fn f(w: &mut W) { writeln!(w, \"x\").ok(); }").is_empty());
-        assert!(check_lib("fn f() { let println = 3; }").is_empty());
-    }
-
-    #[test]
-    fn l008_exempts_bins_tests_and_carved_out_paths() {
-        let src = "fn f() { println!(\"progress\"); }";
-        let bin = check_source(
-            "crates/experiments/src/bin/borg-exp.rs",
-            FileClass::Bin,
-            src,
-        );
-        assert!(bin.is_empty());
-        let tst = check_source("tests/e2e.rs", FileClass::TestOrBench, src);
-        assert!(tst.is_empty());
-        // The console tool and the obs exporters are carved out by path.
-        assert!(check_source("crates/xtask/src/golden.rs", FileClass::Library, src).is_empty());
-        assert!(check_source("crates/obs/src/export.rs", FileClass::Library, src).is_empty());
-        // Test regions inside a library file are exempt.
-        let region = "#[cfg(test)]\nmod tests {\n fn t() { println!(\"dbg\"); }\n}";
-        assert!(check_lib(region).is_empty());
-        // The allowlist escape works.
-        let allowed = "fn f() { println!(\"x\"); } // borg-lint: allow(BORG-L008)";
-        assert!(check_lib(allowed).is_empty());
-    }
-
-    #[test]
-    fn l009_flags_raw_thread_spawn_in_experiments() {
-        let src = "fn sweep() { let h = std::thread::spawn(worker); }";
-        // Out of scope: any other crate may spawn (borg-runner itself must).
-        assert!(check_lib(src).is_empty());
-        assert!(check_source("crates/runner/src/lib.rs", FileClass::Library, src).is_empty());
-        // In scope: experiments library and bin sources.
-        let v = check_source("crates/experiments/src/table2.rs", FileClass::Library, src);
-        assert_eq!(rules_at(&v), [("BORG-L009", 1)]);
-        let v = check_source(
-            "crates/experiments/src/bin/borg-exp.rs",
-            FileClass::Bin,
-            src,
-        );
-        assert_eq!(rules_at(&v), [("BORG-L009", 1)]);
-        // The bare `thread::spawn` path form is the same call.
-        let bare = "fn sweep() { thread::spawn(|| work()); }";
-        let v = check_source("crates/experiments/src/faults.rs", FileClass::Library, bare);
-        assert_eq!(rules_at(&v), [("BORG-L009", 1)]);
-    }
-
-    #[test]
-    fn l009_ignores_scoped_pools_tests_and_allowlist() {
-        let in_exp =
-            |src| check_source("crates/experiments/src/table2.rs", FileClass::Library, src);
-        // A structured scope handle is not a raw spawn.
-        assert!(in_exp("fn pool(scope: &Scope) { scope.spawn(|| work()); }").is_empty());
-        // An unrelated `spawn` identifier without the `thread::` path is silent.
-        assert!(in_exp("fn f() { spawn(); }").is_empty());
-        // Test regions are exempt (a test may exercise raw threads).
-        let tst = "#[cfg(test)]\nmod tests {\n fn t() { std::thread::spawn(|| 1); }\n}";
-        assert!(in_exp(tst).is_empty());
-        // The allowlist escape works.
-        let allowed = "fn f() { std::thread::spawn(run); } // borg-lint: allow(BORG-L009)";
-        assert!(in_exp(allowed).is_empty());
-    }
-
-    #[test]
     fn l013_flags_socket_unwraps_only_in_net_library_code() {
         let src = "fn pump(s: &mut TcpStream) { s.read_exact(&mut buf).unwrap(); }";
-        // Out of scope: other crates get the generic L001 but not L013.
-        assert_eq!(rules_at(&check_lib(src)), [("BORG-L001", 1)]);
-        // In scope: the same unwrap is also a wire-contract violation.
+        // Out of scope: other crates leave unwraps to clippy's `unwrap_used`.
+        assert!(check_lib(src).is_empty());
+        // In scope: the same unwrap is a wire-contract violation.
         let v = check_source("crates/net/src/transport.rs", FileClass::Library, src);
-        assert_eq!(rules_at(&v), [("BORG-L001", 1), ("BORG-L013", 1)]);
-        // An unwrap in a fn with no socket evidence stays L001-only even
-        // inside the net crate.
+        assert_eq!(rules_at(&v), [("BORG-L013", 1)]);
+        // An unwrap in a fn with no socket evidence is not L013's business
+        // even inside the net crate.
         let plain = "fn parse(x: Option<u32>) -> u32 { x.unwrap() }";
         let v = check_source("crates/net/src/codec.rs", FileClass::Library, plain);
-        assert_eq!(rules_at(&v), [("BORG-L001", 1)]);
+        assert!(v.is_empty());
         // Test regions are exempt.
         let tst = "#[cfg(test)]\nmod tests {\n fn t(s: &mut TcpStream) \
                    { s.read_exact(&mut b).unwrap(); }\n}";
@@ -1747,26 +1375,66 @@ mod tests {
 
     #[test]
     fn allowlist_suppresses_on_same_or_preceding_line() {
-        let same = "fn f() { x.unwrap(); } // borg-lint: allow(BORG-L001)";
+        let same = "if s.objectives()[0] == b {} // borg-lint: allow(BORG-L005)";
         assert!(check_lib(same).is_empty());
-        let above = "// borg-lint: allow(BORG-L001)\nfn f() { x.unwrap(); }";
+        let above = "// borg-lint: allow(BORG-L005)\nif s.objectives()[0] == b {}";
         assert!(check_lib(above).is_empty());
-        let wrong_rule = "// borg-lint: allow(BORG-L002)\nfn f() { x.unwrap(); }";
-        assert_eq!(rules_at(&check_lib(wrong_rule)), [("BORG-L001", 2)]);
-        let too_far = "// borg-lint: allow(BORG-L001)\n\nfn f() { x.unwrap(); }";
-        assert_eq!(rules_at(&check_lib(too_far)), [("BORG-L001", 3)]);
+        let wrong_rule = "// borg-lint: allow(BORG-L002)\nif s.objectives()[0] == b {}";
+        assert_eq!(rules_at(&check_lib(wrong_rule)), [("BORG-L005", 2)]);
+        let too_far = "// borg-lint: allow(BORG-L005)\n\nif s.objectives()[0] == b {}";
+        assert_eq!(rules_at(&check_lib(too_far)), [("BORG-L005", 3)]);
+        // An id that names no rule here (a rule that moved to clippy, or a
+        // typo) is reported on the directive and suppresses nothing.
+        let unknown = "// borg-lint: allow(BORG-L005, BORG-L001)\nif s.objectives()[0] == b {}";
+        assert_eq!(rules_at(&check_lib(unknown)), [(UNKNOWN_ALLOW, 1)]);
+        let only_unknown = "x.unwrap(); // borg-lint: allow(BORG-L001)";
+        assert_eq!(rules_at(&check_lib(only_unknown)), [(UNKNOWN_ALLOW, 1)]);
+        // The report cannot itself be allowed away.
+        let meta = "// borg-lint: allow(BORG-L000)";
+        assert_eq!(rules_at(&check_lib(meta)), [(UNKNOWN_ALLOW, 1)]);
+    }
+
+    /// The `#[cfg(clippy)]` canaries prove each clippy-enforced rule fires,
+    /// but an `#[expect]` sets its lint's level within its own scope, so
+    /// they pass even without the workspace-wide level. This pins it.
+    #[test]
+    fn workspace_lint_table_denies_the_clippy_enforced_rules() {
+        let root = crate::files::workspace_root().expect("workspace root");
+        let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+        let table = manifest
+            .split("[workspace.lints.clippy]")
+            .nth(1)
+            .and_then(|rest| rest.split("\n[").next())
+            .expect("[workspace.lints.clippy] table");
+        for lint in [
+            "unwrap_used",
+            "expect_used",
+            "print_stdout",
+            "print_stderr",
+            "disallowed_methods",
+            "disallowed_types",
+        ] {
+            let line = format!("{lint} = \"deny\"");
+            assert!(
+                table.lines().any(|l| l.trim() == line),
+                "`{line}` missing from [workspace.lints.clippy]"
+            );
+        }
     }
 
     #[test]
     fn expectation_parser_reads_markers() {
-        let exp = parse_expectations("x.unwrap(); //~ BORG-L001\ny(); //~ BORG-L002 BORG-L004\n");
+        let exp = parse_expectations(
+            "a(); //~ BORG-L005\nb(); //~ BORG-L002 BORG-L010\nc();\n//~^^ BORG-L013\n",
+        );
         let items: Vec<_> = exp.into_iter().collect();
         assert_eq!(
             items,
             [
-                (1, "BORG-L001".to_string()),
+                (1, "BORG-L005".to_string()),
                 (2, "BORG-L002".to_string()),
-                (2, "BORG-L004".to_string()),
+                (2, "BORG-L010".to_string()),
+                (2, "BORG-L013".to_string()),
             ]
         );
     }

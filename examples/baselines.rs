@@ -5,6 +5,8 @@
 //! cargo run --release --example baselines
 //! ```
 
+#![allow(clippy::print_stdout)]
+
 use borg_repro::core::moead::{run_moead_serial, MoeadConfig};
 use borg_repro::core::nsga2::{run_nsga2_serial, Nsga2Config};
 use borg_repro::prelude::*;

@@ -6,6 +6,8 @@
 //! cargo run --release --example custom_problem
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::print_stdout)]
+
 use borg_repro::prelude::*;
 
 /// Two-bar truss design: choose cross-sectional areas `a1`, `a2` (cm²) and

@@ -5,6 +5,8 @@
 //! cargo run --release --example island_topology
 //! ```
 
+#![allow(clippy::print_stdout)]
+
 use borg_repro::models::dist::Dist;
 use borg_repro::parallel::islands::{run_islands, IslandConfig};
 use borg_repro::parallel::virtual_exec::TaMode;

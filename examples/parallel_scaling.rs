@@ -9,6 +9,8 @@
 //! cargo run --release --example parallel_scaling
 //! ```
 
+#![allow(clippy::print_stdout)]
+
 use borg_obs::NoopRecorder;
 use borg_repro::models::analytical::{async_parallel_time, serial_time, TimingParams};
 use borg_repro::models::dist::Dist;

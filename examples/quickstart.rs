@@ -4,6 +4,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(clippy::print_stdout)]
+
 use borg_repro::prelude::*;
 
 fn main() {

@@ -6,6 +6,8 @@
 //! cargo run --release --example real_threads
 //! ```
 
+#![allow(clippy::expect_used, clippy::print_stdout)]
+
 use borg_repro::models::dist::Dist;
 use borg_repro::models::distfit::{fit_all, Family, SampleStats};
 use borg_repro::parallel::threads::{estimate_comm_time, run_threaded, ThreadedConfig};

@@ -18,6 +18,8 @@
 //! cargo run --release --example simpy_snippet
 //! ```
 
+#![allow(clippy::print_stdout)]
+
 use borg_repro::desim::{CallbackSim, Resource};
 
 const WORKERS: usize = 3;
